@@ -58,9 +58,8 @@ from .priors import (
     log_structure_prior,
 )
 from .scoring import (
-    LocalScoreCache,
-    LocalScoreKey,
     NormalWishartPosterior,
+    Scorer,
     StructureScore,
     local_score,
     log_marginal_complete,

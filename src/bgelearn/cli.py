@@ -135,7 +135,6 @@ def cmd_learn(args) -> int:
         report_obj = search.hill_climb(
             d,
             prior,
-            policy,
             max_iters=args.max_iters,
             restarts=args.restarts,
             seed=args.seed,

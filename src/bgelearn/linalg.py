@@ -1,10 +1,10 @@
 """Dense symmetric-matrix utilities used by the scoring arithmetic.
 
-Everything here works on plain float64 ``numpy`` arrays. Matrices are small
-(a few dozen rows at most), so a straightforward Cholesky with an explicit
-pivot tolerance beats anything fancier: it gives us the log-determinant and
-the inverse for free, and a clean failure signal when a precision or
-covariance matrix is not positive definite.
+Everything here works on plain float64 ``numpy`` arrays. The Cholesky factor
+is LAPACK's (``numpy.linalg.cholesky``), followed by an explicit pivot
+tolerance: it gives us the log-determinant and the inverse for free, and a
+clean failure signal when a precision or covariance matrix is not positive
+definite.
 """
 
 from __future__ import annotations
@@ -37,24 +37,22 @@ def spd_factor(a) -> np.ndarray:
     """Cholesky-factor a symmetric positive definite matrix.
 
     Returns the lower-triangular L with ``L @ L.T == a``. Raises
-    :class:`NotPositiveDefiniteError` when a pivot falls at or below
-    ``PIVOT_RTOL`` times the largest diagonal entry.
+    :class:`NotPositiveDefiniteError` when the factorization fails or a
+    pivot ``L[j, j]**2`` falls at or below ``PIVOT_RTOL`` times the largest
+    diagonal entry.
     """
     a = _as_sym(a)
-    n = a.shape[0]
-    lower = np.zeros_like(a)
+    try:
+        lower = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefiniteError("matrix is not positive definite") from None
+    pivots = lower.diagonal() ** 2
     tol = PIVOT_RTOL * max(a.diagonal().max(initial=0.0), 0.0)
-    for j in range(n):
-        pivot = a[j, j] - lower[j, :j] @ lower[j, :j]
-        if pivot <= tol:
-            raise NotPositiveDefiniteError(
-                f"pivot {pivot:.3e} at index {j} is not positive"
-            )
-        lower[j, j] = np.sqrt(pivot)
-        if j + 1 < n:
-            lower[j + 1 :, j] = (
-                a[j + 1 :, j] - lower[j + 1 :, :j] @ lower[j, :j]
-            ) / lower[j, j]
+    if pivots.min(initial=np.inf) <= tol:
+        j = int(np.argmax(pivots <= tol))
+        raise NotPositiveDefiniteError(
+            f"pivot {pivots[j]:.3e} at index {j} is not positive"
+        )
     return lower
 
 

@@ -215,14 +215,6 @@ def _find_cycle(dag: Dag, remaining: set[int]) -> list[str]:
     return [dag.variables[i] for i in reversed(cycle)]
 
 
-def is_acyclic(dag: Dag) -> bool:
-    try:
-        topological_order(dag)
-        return True
-    except CycleDetectedError:
-        return False
-
-
 def to_precision(net: GaussianNetwork) -> np.ndarray:
     """Precision matrix of the joint normal a network defines.
 

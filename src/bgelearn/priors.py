@@ -12,7 +12,6 @@ exactly the stated means and covariance.
 from __future__ import annotations
 
 import enum
-import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -85,14 +84,6 @@ class NormalWishartPrior:
             self.mu0[keep], submatrix(self.t0, keep), self.nu, self.alpha
         )
 
-    @property
-    def digest(self) -> str:
-        h = hashlib.sha256()
-        h.update(np.ascontiguousarray(self.mu0).tobytes())
-        h.update(np.ascontiguousarray(self.t0).tobytes())
-        h.update(repr((self.nu, self.alpha)).encode())
-        return h.hexdigest()
-
 
 @dataclass(frozen=True)
 class PriorSpec:
@@ -149,10 +140,10 @@ def log_structure_prior(
     Every member of an equivalence class receives the identical value, so
     class posterior mass is well defined under either policy.
     """
-    if dag not in universe:
-        raise DagNotInUniverseError(f"structure {dag.edge_names()} not in universe")
     if not universe:
         raise EmptyInputError("empty structure universe")
+    if dag not in universe:
+        raise DagNotInUniverseError(f"structure {dag.edge_names()} not in universe")
     if policy is StructurePrior.UNIFORM_STRUCTURES:
         return -float(np.log(len(universe)))
     return -float(np.log(len(partition_classes(list(universe)))))

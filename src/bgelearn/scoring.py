@@ -3,9 +3,9 @@
 The closed-form machinery: the Wishart normalizing constant, conjugate
 normal-Wishart posterior updates, the exact marginal likelihood of complete
 data under a complete structure, the per-variable local scores that extend
-it to arbitrary structures, and two independent validation oracles (a
-constructive Wishart Monte-Carlo estimator and, in the tests, direct
-quadrature).
+it to arbitrary structures (computed by a :class:`Scorer` bound to one
+dataset and prior), and two independent validation oracles (a constructive
+Wishart Monte-Carlo estimator and, in the tests, direct quadrature).
 
 All densities live in natural-log space end to end; convert to base-10
 scientific notation only when presenting results.
@@ -13,10 +13,9 @@ scientific notation only when presenting results.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -29,9 +28,9 @@ from .errors import (
     GammaDomainError,
     NonIntegerAlphaError,
 )
-from .linalg import log_det, spd_factor, submatrix
+from .linalg import log_det, spd_factor
 from .network import Dag, topological_order
-from .priors import NormalWishartPrior, StructurePrior, log_structure_prior
+from .priors import NormalWishartPrior
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -106,6 +105,17 @@ def update_posterior(
     )
 
 
+def _size_constant(n: int, m: int, nu: float, alpha: float) -> float:
+    """The part of an n-variable log marginal fixed by n, the case count m
+    and the sample sizes: everything but the two log-determinant terms."""
+    return (
+        -0.5 * n * m * LOG_2PI
+        + 0.5 * n * (math.log(nu) - math.log(nu + m))
+        + log_wishart_norm(n, alpha)
+        - log_wishart_norm(n, alpha + m)
+    )
+
+
 def _log_marginal_stats(prior: NormalWishartPrior, s: SufficientStats) -> float:
     """Closed-form log marginal likelihood from sufficient statistics."""
     n = prior.dim
@@ -113,10 +123,7 @@ def _log_marginal_stats(prior: NormalWishartPrior, s: SufficientStats) -> float:
         return 0.0  # the empty-set marginal is 1
     m = s.count
     return (
-        -0.5 * n * m * LOG_2PI
-        + 0.5 * n * (math.log(prior.nu) - math.log(prior.nu + m))
-        + log_wishart_norm(n, prior.alpha)
-        - log_wishart_norm(n, prior.alpha + m)
+        _size_constant(n, m, prior.nu, prior.alpha)
         + 0.5 * prior.alpha * log_det(prior.t0)
         - 0.5 * (prior.alpha + m) * log_det(_updated_t(prior, s))
     )
@@ -155,71 +162,97 @@ def log_predictive(prior: NormalWishartPrior, case) -> float:
 
 
 @dataclass(frozen=True)
-class LocalScoreKey:
-    """Cache key for one child/parent-set score against one scoring context.
+class StructureScore:
+    """A structure's log marginal likelihood and its per-variable terms."""
 
-    The digest hashes both the dataset content and the prior
-    hyperparameters, so one cache can safely serve multiple contexts.
+    dag: Dag
+    log_marginal: float
+    local_terms: tuple[float, ...]
+
+
+class Scorer:
+    """Local and structure scores of one dataset under one prior.
+
+    A subset marginal depends on the data and the prior only through the
+    prior precision hyperparameter ``T0``, the posterior ``T_N`` and
+    constants fixed by the subset size, so all of them are computed once
+    here. The marginal over an index set is then read from the
+    log-determinants of the matching principal submatrices of ``T0`` and
+    ``T_N``; this equals scoring the restricted prior against the projected
+    data. Local scores are memoized by ``(child, parents)`` and the memo
+    counts its ``hits`` and ``misses``.
     """
 
-    child: str
-    parents: tuple[str, ...]
-    dataset_digest: str
-
-
-class LocalScoreCache:
-    """Concurrent-friendly memo of local scores.
-
-    Lookups are plain dict reads; inserts go through ``setdefault``, so a
-    key is bound exactly once even if two threads compute it concurrently
-    (the values are idempotent, so duplicate computation is harmless).
-    """
-
-    def __init__(self):
-        self._scores: dict[LocalScoreKey, float] = {}
+    def __init__(self, d: Dataset, prior: NormalWishartPrior):
+        if d.width != prior.dim:
+            raise DimensionMismatchError(
+                f"dataset has {d.width} variables, prior has {prior.dim}"
+            )
+        s = stats(d)
+        m = s.count
+        self.variables = d.variables
+        self._t0 = prior.t0
+        self._tn = _updated_t(prior, s)
+        self._w0 = 0.5 * prior.alpha
+        self._wn = 0.5 * (prior.alpha + m)
+        self._const = [0.0] + [
+            _size_constant(size, m, prior.nu, prior.alpha)
+            for size in range(1, d.width + 1)
+        ]
+        self._memo: dict[tuple[int, frozenset[int]], float] = {}
         self.hits = 0
         self.misses = 0
 
-    def __len__(self) -> int:
-        return len(self._scores)
+    def _marginal(self, ix: list[int]) -> float:
+        """Log marginal of the data over the ascending index list ``ix``."""
+        if not ix:
+            return 0.0  # the empty-set marginal is 1
+        sub = np.ix_(ix, ix)
+        return (
+            self._const[len(ix)]
+            + self._w0 * log_det(self._t0[sub])
+            - self._wn * log_det(self._tn[sub])
+        )
 
-    def get_or_compute(self, key: LocalScoreKey, compute: Callable[[], float]) -> float:
-        value = self._scores.get(key)
+    def local(self, child: int, parents: frozenset[int]) -> float:
+        """The contribution of variable ``child`` with parent set ``parents``
+        (column indices): the log marginal over the family minus the log
+        marginal over the parents."""
+        key = (child, parents)
+        value = self._memo.get(key)
         if value is not None:
             self.hits += 1
             return value
+        if child in parents:
+            raise ValueError(f"{self.variables[child]!r} cannot be its own parent")
         self.misses += 1
-        return self._scores.setdefault(key, compute())
+        parent_ix = sorted(parents)
+        value = self._marginal(sorted(parent_ix + [child])) - self._marginal(parent_ix)
+        self._memo[key] = value
+        return value
 
-
-def context_digest(d: Dataset, prior: NormalWishartPrior) -> str:
-    combined = hashlib.sha256()
-    combined.update(d.digest.encode())
-    combined.update(prior.digest.encode())
-    return combined.hexdigest()
-
-
-def _restricted_marginal(
-    prior: NormalWishartPrior, full: SufficientStats, idx: Sequence[int]
-) -> float:
-    """Marginal of the data restricted to ``idx``: restrict the location,
-    the Wishart hyperparameter, and the statistics; keep nu, alpha, and the
-    case count unchanged."""
-    idx = list(idx)
-    if not idx:
-        return 0.0
-    sub_stats = SufficientStats(
-        full.count, full.mean[idx], submatrix(full.scatter, idx)
-    )
-    return _log_marginal_stats(prior.restrict(idx), sub_stats)
+    def score(self, dag: Dag) -> StructureScore:
+        """Score a DAG on the dataset's variables: the sum of its local scores."""
+        if set(dag.variables) != set(self.variables):
+            raise DimensionMismatchError(
+                f"structure variables {sorted(dag.variables)} do not match "
+                f"dataset variables {sorted(self.variables)}"
+            )
+        topological_order(dag)  # reject cyclic candidates up front
+        if dag.variables == self.variables:
+            families = enumerate(dag.parents)
+        else:
+            col = [self.variables.index(v) for v in dag.variables]
+            families = (
+                (col[i], frozenset(col[p] for p in ps))
+                for i, ps in enumerate(dag.parents)
+            )
+        terms = tuple(self.local(child, ps) for child, ps in families)
+        return StructureScore(dag, float(sum(terms)), terms)
 
 
 def local_score(
-    child: str,
-    parents: Iterable[str],
-    d: Dataset,
-    prior: NormalWishartPrior,
-    cache: LocalScoreCache | None = None,
+    child: str, parents: Iterable[str], d: Dataset, prior: NormalWishartPrior
 ) -> float:
     """The contribution of one variable with one parent set.
 
@@ -227,73 +260,19 @@ def local_score(
     the data over the parents alone, both computed with correspondingly
     restricted hyperparameters and unchanged sample sizes.
     """
-    parent_names = tuple(sorted(parents))
-    if child in parent_names:
-        raise ValueError(f"{child!r} cannot be its own parent")
-
-    def compute() -> float:
-        full = stats(d)
-        child_idx = d.column_index(child)
-        parent_idx = sorted(d.column_index(p) for p in parent_names)
-        family_idx = sorted(parent_idx + [child_idx])
-        return _restricted_marginal(prior, full, family_idx) - _restricted_marginal(
-            prior, full, parent_idx
-        )
-
-    if cache is None:
-        return compute()
-    key = LocalScoreKey(child, parent_names, context_digest(d, prior))
-    return cache.get_or_compute(key, compute)
-
-
-@dataclass(frozen=True)
-class StructureScore:
-    """A structure's log prior, log marginal, and per-variable terms."""
-
-    dag: Dag
-    log_prior: float
-    log_marginal: float
-    local_terms: tuple[float, ...]
-
-    @property
-    def total(self) -> float:
-        return self.log_prior + self.log_marginal
+    parent_ix = frozenset(d.column_index(p) for p in parents)
+    return Scorer(d, prior).local(d.column_index(child), parent_ix)
 
 
 def score_structure(
-    dag: Dag,
-    d: Dataset,
-    prior: NormalWishartPrior,
-    policy: StructurePrior | None = None,
-    universe: Sequence[Dag] | None = None,
-    cache: LocalScoreCache | None = None,
+    dag: Dag, d: Dataset, prior: NormalWishartPrior
 ) -> StructureScore:
-    """Score a DAG: sum of local scores plus an optional structure prior.
+    """Score a DAG: the sum of its local scores, with no structure prior.
 
-    With ``policy`` (and its ``universe``) omitted the log prior is zero,
-    which leaves rankings and normalized posteriors over a fixed candidate
-    set unchanged.
+    A uniform structure prior is constant over any fixed candidate set, so
+    leaving it out changes neither rankings nor normalized posteriors.
     """
-    if set(dag.variables) != set(d.variables):
-        raise DimensionMismatchError(
-            f"structure variables {sorted(dag.variables)} do not match "
-            f"dataset variables {sorted(d.variables)}"
-        )
-    topological_order(dag)  # reject cyclic candidates up front
-    terms = tuple(
-        local_score(
-            dag.variables[i],
-            (dag.variables[p] for p in dag.parents[i]),
-            d,
-            prior,
-            cache,
-        )
-        for i in range(dag.size)
-    )
-    log_prior = 0.0
-    if policy is not None and universe is not None:
-        log_prior = log_structure_prior(policy, dag, universe)
-    return StructureScore(dag, log_prior, float(sum(terms)), terms)
+    return Scorer(d, prior).score(dag)
 
 
 def normalize_log_weights(log_weights: Sequence[float]) -> np.ndarray:
@@ -309,7 +288,7 @@ def posterior_over_set(scores: Sequence[StructureScore]) -> list[float]:
     """Posterior probabilities of a candidate set from their scores."""
     if not scores:
         raise EmptyInputError("no structures to normalize over")
-    return list(normalize_log_weights([s.total for s in scores]))
+    return list(normalize_log_weights([s.log_marginal for s in scores]))
 
 
 # ---------------------------------------------------------------------------

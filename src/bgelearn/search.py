@@ -2,8 +2,10 @@
 
 Two modes: exhaustive enumeration with equivalence-class ranking for up to
 six variables, and deterministic greedy hill-climbing over single-arc moves
-(add, delete, reverse) for anything larger. Both share a local-score cache,
-so a candidate move re-scores only the children it touches.
+(add, delete, reverse) for anything larger. Each search scores through one
+:class:`~bgelearn.scoring.Scorer` for its dataset and prior, whose memo
+makes a repeated (child, parents) score a dict lookup; a candidate move
+re-scores only the children it touches.
 """
 
 from __future__ import annotations
@@ -24,13 +26,7 @@ from .network import (
     topological_order,
 )
 from .priors import NormalWishartPrior, StructurePrior
-from .scoring import (
-    LocalScoreCache,
-    StructureScore,
-    local_score,
-    normalize_log_weights,
-    score_structure,
-)
+from .scoring import Scorer, StructureScore, normalize_log_weights
 
 # Tie-break order among equal-delta moves.
 _MOVE_RANK = {"delete": 0, "reverse": 1, "add": 2}
@@ -87,7 +83,6 @@ def exhaustive(
     d: Dataset,
     prior: NormalWishartPrior,
     policy: StructurePrior = StructurePrior.UNIFORM_CLASSES,
-    cache: LocalScoreCache | None = None,
     verify: bool = False,
 ) -> SearchReport:
     """Score every structure on the dataset's variables, ranked by class.
@@ -101,14 +96,14 @@ def exhaustive(
     n = len(d.variables)
     dags = enumerate_dags(n, d.variables)  # raises TooLargeError beyond the cap
     classes = partition_classes(dags)
-    cache = cache if cache is not None else LocalScoreCache()
+    scorer = Scorer(d, prior)
     evaluations = 0
     log_scores = []
     for cls in classes:
-        rep_score = score_structure(cls.representative, d, prior, cache=cache)
+        rep_score = scorer.score(cls.representative)
         evaluations += 1
         if verify and cls.size > 1:
-            other = score_structure(cls.members[1], d, prior, cache=cache)
+            other = scorer.score(cls.members[1])
             evaluations += 1
             if abs(other.log_marginal - rep_score.log_marginal) > 1e-9:
                 raise AssertionError(
@@ -129,13 +124,11 @@ def exhaustive(
     )
 
 
-def _has_path(dag: Dag, src: int, dst: int) -> bool:
-    """Directed path src -> ... -> dst along child links."""
-    children = [[] for _ in range(dag.size)]
-    for c, ps in enumerate(dag.parents):
-        for p in ps:
-            children[p].append(c)
-    stack, seen = [src], set()
+def _has_path(children, src: int, dst: int, skip: int = -1) -> bool:
+    """Directed path src -> ... -> dst along child links, leaving out the
+    arc src -> skip."""
+    stack = [c for c in children[src] if c != skip]
+    seen = {src}
     while stack:
         node = stack.pop()
         if node == dst:
@@ -147,36 +140,13 @@ def _has_path(dag: Dag, src: int, dst: int) -> bool:
     return False
 
 
-def _legal_moves(dag: Dag):
-    """All structure-preserving single-arc moves, with the post-move parent
-    sets of every affected child."""
-    n = dag.size
-    for u in range(n):
-        for v in range(n):
-            if u == v:
-                continue
-            if u in dag.parents[v]:
-                yield "delete", (u, v), {v: dag.parents[v] - {u}}
-                # Reversal is legal unless another u -> v path remains.
-                without = dag.replace_parents(v, dag.parents[v] - {u})
-                if not _has_path(without, u, v):
-                    yield "reverse", (u, v), {
-                        v: dag.parents[v] - {u},
-                        u: dag.parents[u] | {v},
-                    }
-            elif v not in dag.parents[u] and not _has_path(dag, v, u):
-                yield "add", (u, v), {v: dag.parents[v] | {u}}
-
-
 def hill_climb(
     d: Dataset,
     prior: NormalWishartPrior,
-    policy: StructurePrior = StructurePrior.UNIFORM_CLASSES,
     start: Dag | None = None,
     max_iters: int = 100,
     restarts: int = 0,
     seed: int = 0,
-    cache: LocalScoreCache | None = None,
 ) -> SearchReport:
     """Greedy best-first search over single-arc moves.
 
@@ -185,7 +155,8 @@ def hill_climb(
     least arc. Restarts rerun the climb from seed-derived random DAGs and
     the best terminal wins. The ranked list covers the distinct terminal
     classes found; the uniform structure priors are constant per DAG and
-    cancel in that normalization, so they are not recomputed here.
+    cancel in that normalization, so they take no part here. Terminals use
+    the dataset's variable order.
     """
     if start is None:
         start = Dag.from_edges(d.variables)
@@ -195,15 +166,17 @@ def hill_climb(
             f"dataset {sorted(d.variables)}"
         )
     topological_order(start)
-    cache = cache if cache is not None else LocalScoreCache()
+    if start.variables != d.variables:
+        start = Dag.from_edges(d.variables, start.edge_names())
+    scorer = Scorer(d, prior)
     evaluations = 0
     runs = []
     rng = np.random.default_rng(seed)
     for run_index in range(restarts + 1):
         origin = start if run_index == 0 else _random_dag(d.variables, rng)
-        terminal, trace, evals = _climb_once(d, prior, origin, max_iters, cache)
+        terminal, trace, evals = _climb_once(scorer, origin, max_iters)
         evaluations += evals
-        score = score_structure(terminal, d, prior, cache=cache)
+        score = scorer.score(terminal)
         runs.append((terminal, trace, score))
     best_terminal, best_trace, _ = min(
         runs, key=lambda r: (-r[2].log_marginal, sorted(r[0].edge_names()))
@@ -239,42 +212,56 @@ def _terminal_class(dag: Dag) -> EquivalenceClass:
         return EquivalenceClass((dag,), dag)
 
 
-def _climb_once(d, prior, start, max_iters, cache):
+def _climb_once(scorer: Scorer, start: Dag, max_iters: int):
     names = start.variables
-    current = start
-    current_locals = {
-        v: local_score(names[v], (names[p] for p in start.parents[v]), d, prior, cache)
-        for v in range(start.size)
-    }
+    n = start.size
+    local = scorer.local
+    parents = list(start.parents)
+    current = [local(v, parents[v]) for v in range(n)]
     trace: list[Move] = []
     evaluations = 0
     for _ in range(max_iters):
+        children = [[] for _ in range(n)]
+        for c, ps in enumerate(parents):
+            for p in ps:
+                children[p].append(c)
         best = None
-        for kind, (u, v), new_parents in _legal_moves(current):
-            delta = 0.0
-            for child, parents in new_parents.items():
-                delta += local_score(
-                    names[child], (names[p] for p in parents), d, prior, cache
-                )
-                delta -= current_locals[child]
-            evaluations += 1
-            key = (_MOVE_RANK[kind], (names[u], names[v]))
-            if delta > 0.0 and (
-                best is None
-                or delta > best[0]
-                or (delta == best[0] and key < best[1])
-            ):
-                best = (delta, key, kind, (u, v), new_parents)
+        for u in range(n):
+            for v in range(n):
+                if u == v:
+                    continue
+                # Each move: (kind, delta, post-move parent set per affected child).
+                if u in parents[v]:
+                    dropped = parents[v] - {u}
+                    delta = local(v, dropped) - current[v]
+                    moves = [("delete", delta, ((v, dropped),))]
+                    # Reversal is legal unless another u -> v path remains.
+                    if not _has_path(children, u, v, skip=v):
+                        raised = parents[u] | {v}
+                        moves.append((
+                            "reverse",
+                            delta + local(u, raised) - current[u],
+                            ((v, dropped), (u, raised)),
+                        ))
+                elif v not in parents[u] and not _has_path(children, v, u):
+                    raised = parents[v] | {u}
+                    moves = [("add", local(v, raised) - current[v], ((v, raised),))]
+                else:
+                    continue
+                for kind, delta, changes in moves:
+                    evaluations += 1
+                    if delta > 0.0 and (best is None or delta >= best[0]):
+                        key = (_MOVE_RANK[kind], names[u], names[v])
+                        if best is None or delta > best[0] or key < best[1]:
+                            best = (delta, key, kind, (u, v), changes)
         if best is None:
             break
-        delta, _, kind, (u, v), new_parents = best
-        for child, parents in new_parents.items():
-            current = current.replace_parents(child, parents)
-            current_locals[child] = local_score(
-                names[child], (names[p] for p in parents), d, prior, cache
-            )
+        delta, _, kind, (u, v), changes = best
+        for child, ps in changes:
+            parents[child] = ps
+            current[child] = local(child, ps)
         trace.append(Move(kind, (names[u], names[v]), delta))
-    return current, trace, evaluations
+    return Dag(names, tuple(parents)), trace, evaluations
 
 
 def _random_dag(variables, rng) -> Dag:

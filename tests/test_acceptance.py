@@ -32,7 +32,7 @@ from bgelearn.network import (
 )
 from bgelearn.priors import NormalWishartPrior, elicit
 from bgelearn.scoring import (
-    LocalScoreCache,
+    Scorer,
     log_marginal_complete,
     log_predictive,
     mc_marginal_oracle,
@@ -114,26 +114,20 @@ def test_03_ranking_reproduction(demo_dataset, demo_prior, chain_dag):
 
 
 def test_04_score_equivalence_sweeps(demo_dataset, demo_prior):
-    cache = LocalScoreCache()
+    scorer = Scorer(demo_dataset, demo_prior)
     worst3 = 0.0
     for cls in partition_classes(enumerate_dags(3, demo_dataset.variables)):
-        values = [
-            score_structure(m, demo_dataset, demo_prior, cache=cache).log_marginal
-            for m in cls.members
-        ]
+        values = [scorer.score(m).log_marginal for m in cls.members]
         worst3 = max(worst3, max(values) - min(values))
 
     rng = np.random.default_rng(404)
     d4 = random_dataset(rng, 4, 30)
     prior4 = NormalWishartPrior(np.zeros(4), np.eye(4), nu=6.0, alpha=8.0)
     t0 = time.perf_counter()
-    cache4 = LocalScoreCache()
+    scorer4 = Scorer(d4, prior4)
     worst4 = 0.0
     for cls in partition_classes(enumerate_dags(4, d4.variables)):
-        values = [
-            score_structure(m, d4, prior4, cache=cache4).log_marginal
-            for m in cls.members
-        ]
+        values = [scorer4.score(m).log_marginal for m in cls.members]
         worst4 = max(worst4, max(values) - min(values))
     elapsed = time.perf_counter() - t0
     ok = worst3 < 1e-9 and worst4 < 1e-9 and elapsed < 60.0
@@ -297,9 +291,8 @@ def test_11_sampling_correctness(sample_dir):
 def test_12_recovery_property(sample_dir, demo_prior, chain_dag):
     net = load_network(sample_dir / "generator.json")
     d = sample(net, 200, seed=12)
-    cache = LocalScoreCache()
-    full = exhaustive(d, demo_prior, cache=cache)
-    greedy = hill_climb(d, demo_prior, cache=cache)
+    full = exhaustive(d, demo_prior)
+    greedy = hill_climb(d, demo_prior)
     ok = same_class(full.best.unit.representative, chain_dag) and same_class(
         greedy.terminal, chain_dag
     )

@@ -8,6 +8,7 @@ from bgelearn.errors import (
     AlphaTooSmallError,
     DagNotInUniverseError,
     DataParseError,
+    EmptyInputError,
     NotPositiveDefiniteError,
 )
 from bgelearn.network import (
@@ -136,6 +137,12 @@ class TestStructurePriorPolicy:
         dag = Dag.from_edges(("a",))
         for policy in StructurePrior:
             assert log_structure_prior(policy, dag, [dag]) == 0.0
+
+    def test_empty_universe(self):
+        with pytest.raises(EmptyInputError):
+            log_structure_prior(
+                StructurePrior.UNIFORM_CLASSES, Dag.from_edges(("a",)), []
+            )
 
     def test_dag_not_in_universe(self):
         universe = enumerate_dags(2)

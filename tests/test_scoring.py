@@ -15,13 +15,16 @@ from bgelearn.errors import (
 )
 from bgelearn.network import (
     Dag,
+    GaussianNetwork,
+    GaussianParams,
     enumerate_dags,
     from_precision,
     partition_classes,
+    sample,
 )
-from bgelearn.priors import NormalWishartPrior, StructurePrior
+from bgelearn.priors import NormalWishartPrior
 from bgelearn.scoring import (
-    LocalScoreCache,
+    Scorer,
     local_score,
     log_marginal_complete,
     log_predictive,
@@ -32,6 +35,7 @@ from bgelearn.scoring import (
     score_structure,
     update_posterior,
 )
+from bgelearn.search import hill_climb
 
 TOY_PRIOR = NormalWishartPrior([0.0], [[1.0]], nu=1.0, alpha=2.0)
 TOY_LOG_DENSITY = -1.5 * math.log(2.0)  # exp(.) = 0.353553...
@@ -260,26 +264,108 @@ class TestLocalScore:
     def test_cache_hit_is_bit_identical_without_recompute(
         self, demo_prior, demo_dataset
     ):
-        cache = LocalScoreCache()
-        first = local_score("x3", ("x1",), demo_dataset, demo_prior, cache)
-        assert (cache.misses, cache.hits) == (1, 0)
-        second = local_score("x3", ("x1",), demo_dataset, demo_prior, cache)
-        assert (cache.misses, cache.hits) == (1, 1)
+        scorer = Scorer(demo_dataset, demo_prior)
+        first = scorer.local(2, frozenset({0}))
+        assert (scorer.misses, scorer.hits) == (1, 0)
+        second = scorer.local(2, frozenset({0}))
+        assert (scorer.misses, scorer.hits) == (1, 1)
         assert first == second
+        assert first == local_score("x3", ("x1",), demo_dataset, demo_prior)
 
     def test_cache_distinguishes_priors(self, demo_prior, demo_dataset):
-        cache = LocalScoreCache()
         other = NormalWishartPrior(
             demo_prior.mu0, demo_prior.t0, demo_prior.nu, demo_prior.alpha + 1
         )
-        a = local_score("x1", (), demo_dataset, demo_prior, cache)
-        b = local_score("x1", (), demo_dataset, other, cache)
-        assert cache.misses == 2
+        a = Scorer(demo_dataset, demo_prior).local(0, frozenset())
+        b = Scorer(demo_dataset, other).local(0, frozenset())
         assert a != b
 
     def test_child_cannot_be_own_parent(self, demo_prior, demo_dataset):
         with pytest.raises(ValueError):
             local_score("x1", ("x1",), demo_dataset, demo_prior)
+
+
+def scratch_local(prior, d, child, parents):
+    """Independent local score: restricted prior against projected data,
+    family marginal minus parent marginal, through the complete-data
+    closed form."""
+    names = d.variables
+    parents = sorted(parents)
+    family = sorted(parents + [child])
+
+    def marginal(ix):
+        if not ix:
+            return 0.0
+        return log_marginal_complete(
+            prior.restrict(ix), project(d, [names[i] for i in ix])
+        )
+
+    return marginal(family) - marginal(parents)
+
+
+class TestScorer:
+    def test_local_matches_subset_marginal_oracle(self):
+        rng = np.random.default_rng(1302)
+        shapes = [(1, 0), (2, 1), (3, 0), (3, 1), (4, 1), (5, 1), (5, 0)]
+        shapes += [(int(rng.integers(1, 6)), int(rng.integers(2, 40))) for _ in range(8)]
+        for n, m in shapes:
+            prior = random_prior(rng, n)
+            d = random_dataset(rng, n, m)
+            scorer = Scorer(d, prior)
+            for child in range(n):
+                others = [i for i in range(n) if i != child]
+                for size in range(n):
+                    for parents in itertools.combinations(others, size):
+                        value = scorer.local(child, frozenset(parents))
+                        assert value == pytest.approx(
+                            scratch_local(prior, d, child, list(parents)), abs=1e-10
+                        ), (n, m, child, parents)
+
+    def test_greedy_trace_matches_scratch_deltas(self):
+        rng = np.random.default_rng(6808)
+        n = 10
+        names = tuple(f"v{i}" for i in range(n))
+        parents = [
+            frozenset(int(p) for p in range(i) if rng.random() < 0.3)
+            for i in range(n)
+        ]
+        coeffs = {
+            (c, p): float(rng.uniform(0.5, 1.5) * rng.choice((-1, 1)))
+            for c, ps in enumerate(parents)
+            for p in ps
+        }
+        net = GaussianNetwork(
+            Dag(names, tuple(parents)),
+            GaussianParams(tuple(rng.normal(size=n)), (1.0,) * n, coeffs),
+        )
+        d = sample(net, 300, seed=11)
+        prior = NormalWishartPrior(np.zeros(n), (n + 2) * np.eye(n), 1.0, n + 2)
+        report = hill_climb(d, prior)
+        assert len(report.trace) >= 5
+        current = [frozenset() for _ in range(n)]
+        for move in report.trace:
+            u, v = names.index(move.arc[0]), names.index(move.arc[1])
+            after = list(current)
+            if move.kind == "add":
+                after[v] = current[v] | {u}
+            elif move.kind == "delete":
+                after[v] = current[v] - {u}
+            else:
+                after[v] = current[v] - {u}
+                after[u] = current[u] | {v}
+            delta = sum(
+                scratch_local(prior, d, c, list(after[c]))
+                - scratch_local(prior, d, c, list(current[c]))
+                for c in range(n)
+                if after[c] != current[c]
+            )
+            assert move.delta == pytest.approx(delta, abs=1e-9)
+            current = after
+        assert tuple(current) == report.terminal.parents
+
+    def test_dimension_mismatch(self, demo_prior):
+        with pytest.raises(DimensionMismatchError):
+            Scorer(single_case(1.0), demo_prior)
 
 
 class TestScoreStructure:
@@ -310,29 +396,23 @@ class TestScoreStructure:
         with pytest.raises(DimensionMismatchError):
             score_structure(Dag.from_edges(("a", "b")), demo_dataset, demo_prior)
 
-    def test_policy_prior_included_in_total(
+    def test_structure_variable_order_follows_names(
         self, demo_prior, demo_dataset, chain_dag
     ):
-        universe = enumerate_dags(3, demo_dataset.variables)
-        scored = score_structure(
-            chain_dag,
-            demo_dataset,
-            demo_prior,
-            policy=StructurePrior.UNIFORM_CLASSES,
-            universe=universe,
+        shuffled = Dag.from_edges(("x3", "x1", "x2"), chain_dag.edge_names())
+        ordered = score_structure(chain_dag, demo_dataset, demo_prior)
+        result = score_structure(shuffled, demo_dataset, demo_prior)
+        assert result.log_marginal == pytest.approx(ordered.log_marginal, abs=1e-12)
+        assert result.local_terms == tuple(
+            ordered.local_terms[i] for i in (2, 0, 1)
         )
-        assert scored.log_prior == pytest.approx(-math.log(11))
-        assert scored.total == scored.log_prior + scored.log_marginal
 
 
 class TestScoreEquivalence:
     def test_all_classes_on_demo_inputs(self, demo_prior, demo_dataset):
-        cache = LocalScoreCache()
+        scorer = Scorer(demo_dataset, demo_prior)
         for cls in partition_classes(enumerate_dags(3, demo_dataset.variables)):
-            values = [
-                score_structure(m, demo_dataset, demo_prior, cache=cache).log_marginal
-                for m in cls.members
-            ]
+            values = [scorer.score(m).log_marginal for m in cls.members]
             assert max(values) - min(values) < 1e-9
 
     def test_randomized_priors_and_data(self):
@@ -341,14 +421,11 @@ class TestScoreEquivalence:
             n = int(rng.integers(2, 5))
             prior = random_prior(rng, n)
             d = random_dataset(rng, n, int(rng.integers(2, 31)))
-            cache = LocalScoreCache()
+            scorer = Scorer(d, prior)
             classes = partition_classes(enumerate_dags(n, d.variables))
             picks = [classes[i] for i in rng.integers(0, len(classes), size=6)]
             for cls in picks:
-                values = [
-                    score_structure(m, d, prior, cache=cache).log_marginal
-                    for m in cls.members
-                ]
+                values = [scorer.score(m).log_marginal for m in cls.members]
                 assert max(values) - min(values) < 1e-9
 
     def test_complete_orderings_score_identically(self, demo_prior, demo_dataset):
@@ -375,10 +452,9 @@ class TestPosteriorOverSet:
         assert posterior_over_set([s]) == [1.0]
 
     def test_sums_to_one(self, demo_prior, demo_dataset):
-        cache = LocalScoreCache()
+        scorer = Scorer(demo_dataset, demo_prior)
         scores = [
-            score_structure(d, demo_dataset, demo_prior, cache=cache)
-            for d in enumerate_dags(3, demo_dataset.variables)
+            scorer.score(d) for d in enumerate_dags(3, demo_dataset.variables)
         ]
         assert sum(posterior_over_set(scores)) == pytest.approx(1.0, abs=1e-12)
 

@@ -12,8 +12,10 @@ from bgelearn.network import (
     topological_order,
 )
 from bgelearn.priors import NormalWishartPrior, StructurePrior
-from bgelearn.scoring import LocalScoreCache, score_structure
+from bgelearn.scoring import score_structure
 from bgelearn.search import exhaustive, hill_climb
+
+from test_scoring import scratch_local
 
 
 def two_var_dependent_dataset(seed=17, count=200, coeff=1.0):
@@ -100,6 +102,14 @@ class TestHillClimb:
         assert report.trace == ()
         assert report.terminal == chain_dag
 
+    def test_start_in_another_variable_order(self, demo_dataset, demo_prior):
+        start = Dag.from_edges(("x3", "x2", "x1"), [("x1", "x3")])
+        same = Dag.from_edges(demo_dataset.variables, [("x1", "x3")])
+        shuffled = hill_climb(demo_dataset, demo_prior, start=start)
+        ordered = hill_climb(demo_dataset, demo_prior, start=same)
+        assert shuffled.trace == ordered.trace
+        assert shuffled.terminal == ordered.terminal
+
     def test_demo_reaches_chain_class(self, demo_dataset, demo_prior, chain_dag):
         report = hill_climb(demo_dataset, demo_prior)
         assert same_class(report.terminal, chain_dag)
@@ -131,14 +141,12 @@ class TestHillClimb:
         assert current == report.terminal
 
     def test_cached_total_matches_scratch_scoring(self, demo_dataset, demo_prior):
-        cache = LocalScoreCache()
-        report = hill_climb(demo_dataset, demo_prior, cache=cache)
-        cached = score_structure(
-            report.terminal, demo_dataset, demo_prior, cache=cache
-        ).log_marginal
-        scratch = score_structure(
-            report.terminal, demo_dataset, demo_prior
-        ).log_marginal
+        report = hill_climb(demo_dataset, demo_prior)
+        cached = report.ranked[0].log_score
+        scratch = sum(
+            scratch_local(demo_prior, demo_dataset, c, list(ps))
+            for c, ps in enumerate(report.terminal.parents)
+        )
         assert cached == pytest.approx(scratch, abs=1e-10)
 
     def test_agrees_with_exhaustive_on_synthetic_instances(self):
@@ -158,9 +166,8 @@ class TestHillClimb:
             )
             d = sample(net, 200, seed=1000 + trial)
             prior = flat_prior(3)
-            cache = LocalScoreCache()
-            full = exhaustive(d, prior, cache=cache)
-            greedy = hill_climb(d, prior, cache=cache)
+            full = exhaustive(d, prior)
+            greedy = hill_climb(d, prior)
             assert same_class(
                 full.best.unit.representative, greedy.terminal
             ), f"trial {trial}"
