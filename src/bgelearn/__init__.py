@@ -34,6 +34,7 @@ from .network import (
     GaussianNetwork,
     GaussianParams,
     class_members,
+    enumerate_classes,
     enumerate_dags,
     from_precision,
     implied_covariance,

@@ -6,6 +6,13 @@ conditional variance. The joint distribution is multivariate normal, and the
 precision matrix is obtained from (variances, arc coefficients) by a
 recursion along any ancestral ordering; the reverse transform recovers the
 parameters of the complete network in a chosen ordering.
+
+Equivalence classes (same skeleton, same v-structures) are enumerated,
+partitioned and ordered on numpy arrays of integer parent masks, one row per
+DAG: each row is keyed by a skeleton bitmask and a v-structure bitmask and
+ordered by its sorted (parent, child) name list, and a :class:`Dag` is built
+only for the rows a caller reads. ``class_key`` and ``same_class`` compute
+the same relation from names and serve as its independent check.
 """
 
 from __future__ import annotations
@@ -49,10 +56,19 @@ class Dag:
     parents: tuple[frozenset[int], ...]
 
     def __post_init__(self):
-        names = tuple(str(v) for v in self.variables)
+        # Inputs already in normal form are kept, so that DAGs built from
+        # shared name tuples and parent sets share them.
+        names = self.variables
+        if type(names) is not tuple or not all(type(v) is str for v in names):
+            names = tuple(str(v) for v in names)
         if len(set(names)) != len(names):
             raise DuplicateVariableError(f"duplicate variable name in {names}")
-        parents = tuple(frozenset(int(p) for p in ps) for ps in self.parents)
+        parents = tuple(
+            ps
+            if type(ps) is frozenset and all(type(p) is int for p in ps)
+            else frozenset(int(p) for p in ps)
+            for ps in self.parents
+        )
         if len(parents) != len(names):
             raise InvalidNetworkError(
                 f"{len(parents)} parent sets for {len(names)} variables"
@@ -162,24 +178,71 @@ class GaussianNetwork:
         return self.dag.variables
 
 
-@dataclass(frozen=True)
 class EquivalenceClass:
     """A set of DAGs encoding identical independence assertions.
 
     The representative is the member with the lexicographically least
-    (parent, child) edge list.
+    sorted (parent, child) edge-name list. A class built by
+    :func:`enumerate_classes` holds its members as parent masks and builds
+    their :class:`Dag` objects on the first read of ``members``;
+    ``representative`` and ``size`` never need them. Classes compare equal
+    when their representatives and member tuples are equal, however they
+    were built.
     """
 
-    members: tuple[Dag, ...]
-    representative: Dag
+    __slots__ = ("_representative", "_members", "_masks")
 
-    def __post_init__(self):
-        if self.representative not in self.members:
+    def __init__(self, members: Sequence[Dag], representative: Dag):
+        members = tuple(members)
+        if representative not in members:
             raise InvalidNetworkError("representative is not a member")
+        self._representative = representative
+        self._members: tuple[Dag, ...] | None = members
+        self._masks: np.ndarray | None = None
+
+    @classmethod
+    def _lazy(cls, representative: Dag, masks: np.ndarray) -> "EquivalenceClass":
+        """A class whose members, least first, are the rows of ``masks``."""
+        self = cls.__new__(cls)
+        self._representative = representative
+        self._members = None
+        self._masks = masks
+        return self
+
+    @property
+    def representative(self) -> Dag:
+        return self._representative
+
+    @property
+    def members(self) -> tuple[Dag, ...]:
+        if self._members is None:
+            rep = self._representative
+            members = tuple(_mask_dags(rep.variables, self._masks, range(rep.size)))
+            if members[0] != rep:
+                raise InvalidNetworkError("first member is not the representative")
+            self._members, self._masks = members, None
+        return self._members
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return len(self._members if self._members is not None else self._masks)
+
+    def __eq__(self, other):
+        if not isinstance(other, EquivalenceClass):
+            return NotImplemented
+        return (
+            self.representative == other.representative
+            and self.members == other.members
+        )
+
+    def __hash__(self):
+        return hash(self._representative)
+
+    def __repr__(self):
+        return (
+            f"EquivalenceClass(representative={self._representative!r}, "
+            f"size={self.size})"
+        )
 
 
 def topological_order(dag: Dag) -> tuple[int, ...]:
@@ -333,15 +396,18 @@ def same_class(a: Dag, b: Dag) -> bool:
     return class_key(a) == class_key(b)
 
 
-def enumerate_dags(n: int, variables: Sequence[str] | None = None) -> list[Dag]:
-    """All labeled DAGs on ``n`` nodes, each exactly once, in a fixed order.
+def enumerate_classes(
+    n: int, variables: Sequence[str] | None = None
+) -> list[EquivalenceClass]:
+    """All equivalence classes of labeled DAGs on ``n`` nodes; capped at n = 6.
 
-    Brute force over the 3^(n(n-1)/2) none/forward/backward states of the
-    node pairs with an acyclicity filter; capped at n = 6.
+    Equal to ``partition_classes`` of every DAG, in the same order, but only
+    each class's representative is built as a :class:`Dag`; the other
+    members wait as parent masks until ``members`` is read.
     """
     if n < 1:
         raise ValueError(f"need at least one variable, got {n}")
-    if n > MAX_ENUMERABLE_NODES:
+    if n > MAX_ENUMERABLE_NODES:  # checked before any array is allocated
         raise TooLargeError(
             f"{n} > {MAX_ENUMERABLE_NODES} nodes: exhaustive enumeration disabled"
         )
@@ -350,87 +416,260 @@ def enumerate_dags(n: int, variables: Sequence[str] | None = None) -> list[Dag]:
     )
     if len(names) != n:
         raise VariableMismatchError(f"{len(names)} names for {n} nodes")
-    pairs = list(itertools.combinations(range(n), 2))
-    out: list[Dag] = []
-    for states in itertools.product((0, 1, 2), repeat=len(pairs)):
-        parents = [set() for _ in range(n)]
-        for (i, j), s in zip(pairs, states):
-            if s == 1:
-                parents[j].add(i)
-            elif s == 2:
-                parents[i].add(j)
-        if _acyclic_parents(parents):
-            out.append(Dag(names, tuple(frozenset(ps) for ps in parents)))
-    return out
+    masks = _all_dag_masks(n)
+    order, bounds = _order_classes(masks, _ranks(names), n)
+    masks = masks[order]
+    reps = _mask_dags(names, masks[bounds[:-1]], range(n))
+    return [
+        EquivalenceClass._lazy(rep, masks[a:b])
+        for rep, a, b in zip(reps, bounds[:-1].tolist(), bounds[1:].tolist())
+    ]
 
 
-def _acyclic_parents(parents: list[set[int]]) -> bool:
-    n = len(parents)
-    indeg = [len(ps) for ps in parents]
-    children = [[] for _ in range(n)]
-    for c, ps in enumerate(parents):
-        for p in ps:
-            children[p].append(c)
-    stack = [i for i in range(n) if indeg[i] == 0]
-    seen = 0
-    while stack:
-        node = stack.pop()
-        seen += 1
-        for c in children[node]:
-            indeg[c] -= 1
-            if indeg[c] == 0:
-                stack.append(c)
-    return seen == n
+def enumerate_dags(n: int, variables: Sequence[str] | None = None) -> list[Dag]:
+    """All labeled DAGs on ``n`` nodes, each exactly once; capped at n = 6.
+
+    Ordered as the members of :func:`enumerate_classes`, class after class:
+    classes by their representative's sorted (parent, child) name list,
+    members within a class by their own.
+    """
+    return [dag for cls in enumerate_classes(n, variables) for dag in cls.members]
 
 
 def partition_classes(dags: Sequence[Dag]) -> list[EquivalenceClass]:
-    """Partition DAGs into equivalence classes.
+    """Partition DAGs into equivalence classes of the given Dag objects.
 
-    Classes are keyed by (skeleton, v-structures); members and classes are
-    ordered by their name-based edge lists so output is deterministic.
+    DAGs declared in another variable order are compared by name; at most
+    64 variables. Members and classes are ordered by their sorted
+    (parent, child) name lists, so the output does not depend on the order
+    of the input.
     """
     if not dags:
         return []
-    names = set(dags[0].variables)
-    groups: dict[tuple, list[Dag]] = {}
+    names = dags[0].variables
+    index = {name: i for i, name in enumerate(names)}
+    rows = []
     for dag in dags:
-        if set(dag.variables) != names:
+        if set(dag.variables) != index.keys():
             raise VariableMismatchError(
                 f"variable sets differ: {sorted(names)} vs {sorted(dag.variables)}"
             )
-        groups.setdefault(class_key(dag), []).append(dag)
+        col = [index[v] for v in dag.variables]
+        row = [0] * len(names)
+        for c, ps in enumerate(dag.parents):
+            row[col[c]] = sum(1 << col[p] for p in ps)
+        rows.append(row)
+    masks = np.array(rows, dtype=_mask_dtype(len(names)))
+    order, bounds = _order_classes(masks, _ranks(names), len(names))
+    order = order.tolist()
     classes = []
-    for members in groups.values():
-        members = sorted(members, key=lambda d: sorted(d.edge_names()))
-        classes.append(EquivalenceClass(tuple(members), members[0]))
-    classes.sort(key=lambda c: sorted(c.representative.edge_names()))
+    for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        members = tuple(dags[i] for i in order[a:b])
+        classes.append(EquivalenceClass(members, members[0]))
     return classes
 
 
 def class_members(dag: Dag, max_edges: int = 16) -> EquivalenceClass:
     """The full equivalence class of one DAG.
 
-    Enumerates the 2^E orientations of its skeleton and keeps the acyclic
-    ones with the same v-structures; exponential in the edge count, hence
-    the cap.
+    Enumerates the 2^E orientations of its skeleton as parent masks over
+    the nodes the skeleton touches, and keeps the acyclic ones with the
+    same v-structures; exponential in the edge count, hence the cap.
     """
-    undirected = sorted(tuple(sorted((p, c))) for p, c in dag.edges())
+    undirected = sorted(tuple(sorted(e)) for e in dag.edges())
     if len(undirected) > max_edges:
         raise TooLargeError(f"{len(undirected)} edges > cap {max_edges}")
-    key = class_key(dag)
-    members = []
-    for flips in itertools.product((False, True), repeat=len(undirected)):
-        parents = [set() for _ in range(dag.size)]
-        for (i, j), flip in zip(undirected, flips):
-            p, c = (j, i) if flip else (i, j)
-            parents[c].add(p)
-        if not _acyclic_parents(parents):
-            continue
-        candidate = Dag(dag.variables, tuple(frozenset(ps) for ps in parents))
-        if class_key(candidate) == key:
-            members.append(candidate)
-    members.sort(key=lambda d: sorted(d.edge_names()))
+    nodes = sorted({v for e in undirected for v in e})
+    local = {v: k for k, v in enumerate(nodes)}
+    dtype = _mask_dtype(len(nodes))
+    flips = np.arange(1 << len(undirected))
+    masks = np.zeros((len(flips), len(nodes)), dtype=dtype)
+    for e, (i, j) in enumerate(undirected):
+        flipped = ((flips >> e) & 1).astype(bool)
+        masks[~flipped, local[j]] |= dtype(1 << local[i])
+        masks[flipped, local[i]] |= dtype(1 << local[j])
+    masks = masks[_acyclic(masks)]
+    own = np.zeros((1, len(nodes)), dtype=dtype)
+    for p, c in dag.edges():
+        own[0, local[c]] |= dtype(1 << local[p])
+    masks = masks[(_class_keys(masks) == _class_keys(own)).all(axis=1)]
+    order = _edge_order(masks, _ranks(dag.variables)[nodes], dag.size)
+    members = _mask_dags(dag.variables, masks[order], nodes)
     return EquivalenceClass(tuple(members), members[0])
+
+
+# ---------------------------------------------------------------------------
+# the class core on parent masks
+#
+# A batch of K DAGs over n nodes is an unsigned integer array of shape
+# (K, n) whose entry [k, c] has bit p set when node p is a parent of node c
+# in DAG k. Everything above that groups or orders DAGs goes through here.
+
+_ROWS_PER_BLOCK = 1 << 16  # bounds the temporaries of the per-row sort
+
+
+def _mask_dtype(n: int):
+    for dtype in (np.uint8, np.uint16, np.uint32, np.uint64):
+        if n <= 8 * np.dtype(dtype).itemsize:
+            return dtype
+    raise TooLargeError(f"{n} variables: parent masks hold at most 64")
+
+
+def _ranks(names: Sequence[str]) -> np.ndarray:
+    """Each name's position in sorted order."""
+    ranks = np.empty(len(names), dtype=np.int64)
+    ranks[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
+    return ranks
+
+
+def _all_dag_masks(n: int) -> np.ndarray:
+    """Every DAG on ``n`` nodes: the 3^(n(n-1)/2) none/forward/backward
+    states of the node pairs, less the cyclic ones.
+
+    The states of the last ten pairs form one table; the states of the
+    others are laid over it one block at a time, so that no array holds
+    all states at once (3^15 of them at n = 6).
+    """
+    pairs = list(itertools.combinations(range(n), 2))
+    split = max(0, len(pairs) - 10)
+    table = np.zeros((1, n), dtype=np.uint8)
+    for i, j in pairs[split:]:
+        states = np.zeros((3, n), dtype=np.uint8)
+        states[1, j] = 1 << i
+        states[2, i] = 1 << j
+        table = (table[:, None, :] | states[None, :, :]).reshape(-1, n)
+    blocks = []
+    for head_states in itertools.product((0, 1, 2), repeat=split):
+        head = np.zeros(n, dtype=np.uint8)
+        for (i, j), s in zip(pairs, head_states):
+            if s == 1:
+                head[j] |= 1 << i
+            elif s == 2:
+                head[i] |= 1 << j
+        block = table | head
+        blocks.append(block[_acyclic(block)])
+    return np.concatenate(blocks)
+
+
+def _acyclic(masks: np.ndarray) -> np.ndarray:
+    """Which rows are acyclic: peel off nodes whose parents are all peeled;
+    n sweeps place every node of a DAG and none on a cycle."""
+    n = masks.shape[1]
+    placed = np.zeros(len(masks), dtype=masks.dtype)
+    for _ in range(n):
+        for c in range(n):
+            placed |= ((masks[:, c] & ~placed) == 0).astype(masks.dtype) << c
+    return placed == (1 << n) - 1
+
+
+def _class_keys(masks: np.ndarray) -> np.ndarray:
+    """The skeleton and v-structures of each row as unsigned 64-bit words,
+    two per row for n <= 8: a skeleton bitmask and a v-structure bitmask.
+
+    The skeleton is kept as adjacency masks. Call a parent of c colliding
+    when c has another parent not adjacent to it. Given the skeleton, the
+    v-structures at c are exactly the non-adjacent pairs of its colliding
+    parents, so the per-child masks of colliding parents fix them.
+    """
+    n = masks.shape[1]
+    dtype = masks.dtype.type
+    adjacent = masks.copy()
+    for c in range(n):
+        for p in range(n):
+            adjacent[:, p] |= ((masks[:, c] >> p) & 1) << c
+    colliding = np.zeros_like(masks)
+    for c in range(n):
+        for a in range(n):
+            bit = dtype(1 << a)
+            partner = masks[:, c] & ~adjacent[:, a] & ~bit
+            hit = ((masks[:, c] & bit) != 0) & (partner != 0)
+            colliding[:, c] |= hit.astype(masks.dtype) << a
+    return np.hstack([_words(adjacent), _words(colliding)])
+
+
+def _words(masks: np.ndarray) -> np.ndarray:
+    """The bytes of each row, zero-padded and read as uint64 words."""
+    raw = np.ascontiguousarray(masks).view(np.uint8)
+    raw = np.pad(raw, ((0, 0), (0, -raw.shape[1] % 8)))
+    return raw.view(np.uint64)
+
+
+def _edge_order(masks: np.ndarray, ranks: np.ndarray, base: int) -> np.ndarray:
+    """The row order of the DAGs' sorted (parent, child) name lists, as
+    ``sorted(dag.edge_names())`` compares them."""
+    codes = _edge_codes(masks, ranks, base)
+    if not codes.shape[1]:  # no row has an arc
+        return np.arange(len(masks))
+    return np.lexsort(codes.T[::-1])
+
+
+def _edge_codes(masks: np.ndarray, ranks: np.ndarray, base: int) -> np.ndarray:
+    """Each row's arcs as codes ``ranks[parent] * base + ranks[child]``,
+    sorted and padded with -1.
+
+    ``ranks`` gives each column's position among the sorted variable names
+    and ``base`` exceeds every rank, so comparing two rows lexicographically
+    compares the DAGs' sorted (parent, child) name lists, a shorter prefix
+    first.
+    """
+    n = masks.shape[1]
+    present = np.bitwise_or.reduce(masks, axis=0)
+    arcs = [(p, c) for c in range(n) for p in range(n) if int(present[c]) >> p & 1]
+    width = min(len(arcs), n * (n - 1) // 2)
+    none = base * base
+    dtype = np.min_scalar_type(-none - 1)
+    codes = np.empty((len(masks), width), dtype=dtype)
+    for start in range(0, len(masks), _ROWS_PER_BLOCK):
+        block = masks[start : start + _ROWS_PER_BLOCK]
+        full = np.full((len(block), len(arcs)), none, dtype=dtype)
+        for k, (p, c) in enumerate(arcs):
+            full[((block[:, c] >> p) & 1).astype(bool), k] = ranks[p] * base + ranks[c]
+        full.sort(axis=1)
+        codes[start : start + len(block)] = full[:, :width]
+    codes[codes == none] = -1
+    return codes
+
+
+def _order_classes(
+    masks: np.ndarray, ranks: np.ndarray, base: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Group rows into classes and order them.
+
+    Returns ``order`` and ``bounds``: class i is the rows
+    ``order[bounds[i]:bounds[i + 1]]``, members by their sorted edge-name
+    lists, classes by that of their least member.
+    """
+    by_edges = _edge_order(masks, ranks, base)
+    keys = _class_keys(masks[by_edges])
+    by_key = np.lexsort(keys.T[::-1])  # stable: members keep the edge order
+    keys = keys[by_key]
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    place = np.empty(int(new.sum()), dtype=np.int64)  # key group -> class index
+    place[np.argsort(by_key[new])] = np.arange(len(place))
+    cls = place[np.cumsum(new) - 1]
+    final = by_key[np.argsort(cls, kind="stable")]
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(cls))])
+    return by_edges[final], bounds
+
+
+def _mask_dags(variables: tuple[str, ...], masks: np.ndarray, nodes) -> list[Dag]:
+    """Build one Dag per row; column k of ``masks`` is variable ``nodes[k]``."""
+    nodes = list(nodes)
+    empty = frozenset()
+    sets: dict[int, frozenset[int]] = {0: empty}
+    out = []
+    for row in masks.tolist():
+        parents = [empty] * len(variables)
+        for node, m in zip(nodes, row):
+            ps = sets.get(m)
+            if ps is None:
+                ps = sets[m] = frozenset(
+                    nodes[k] for k in range(len(nodes)) if m >> k & 1
+                )
+            parents[node] = ps
+        out.append(Dag(variables, tuple(parents)))
+    return out
 
 
 def log_abs_jacobian(cond_variances: Sequence[float]) -> float:

@@ -21,8 +21,7 @@ from .network import (
     Dag,
     EquivalenceClass,
     class_members,
-    enumerate_dags,
-    partition_classes,
+    enumerate_classes,
     topological_order,
 )
 from .priors import NormalWishartPrior, StructurePrior
@@ -87,15 +86,17 @@ def exhaustive(
 ) -> SearchReport:
     """Score every structure on the dataset's variables, ranked by class.
 
-    One representative is scored per equivalence class; with ``verify`` a
-    second member (where one exists) is also scored and must agree to 1e-9,
-    a direct check that the metric is score equivalent. Class posteriors
-    are uniform over classes, or aggregate labeled-DAG mass when the policy
-    is uniform over structures.
+    The classes come from :func:`~bgelearn.network.enumerate_classes`, which
+    builds a :class:`Dag` only for each class's representative, and one
+    representative is scored per class. With ``verify`` a second member
+    (where one exists) is built and scored too and must agree to 1e-9, a
+    direct check that the metric is score equivalent. Class posteriors are
+    uniform over classes, or aggregate labeled-DAG mass (class size over
+    the number of DAGs) when the policy is uniform over structures.
     """
-    n = len(d.variables)
-    dags = enumerate_dags(n, d.variables)  # raises TooLargeError beyond the cap
-    classes = partition_classes(dags)
+    # Raises TooLargeError beyond the cap.
+    classes = enumerate_classes(len(d.variables), d.variables)
+    dag_count = sum(cls.size for cls in classes)
     scorer = Scorer(d, prior)
     evaluations = 0
     log_scores = []
@@ -113,7 +114,7 @@ def exhaustive(
                 )
         if policy is StructurePrior.UNIFORM_STRUCTURES:
             # Class mass aggregates its members under a per-DAG uniform prior.
-            log_prior = -float(np.log(len(dags))) + float(np.log(cls.size))
+            log_prior = -float(np.log(dag_count)) + float(np.log(cls.size))
         else:
             log_prior = -float(np.log(len(classes)))
         log_scores.append(log_prior + rep_score.log_marginal)

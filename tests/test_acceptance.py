@@ -24,6 +24,7 @@ import sys
 import time
 
 import numpy as np
+import pytest
 from scipy.optimize import linprog
 
 from bgelearn.data import Dataset, stats
@@ -267,6 +268,7 @@ def test_06_telescoping_consistency():
     )
 
 
+@pytest.mark.slow
 def test_07_quadrature_oracle():
     prior = NormalWishartPrior([0.0], [[1.0]], nu=1.0, alpha=2.0)
     closed = math.exp(log_marginal_complete(prior, Dataset(("y",), [[0.0]])))

@@ -1,9 +1,12 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from bgelearn.cli import main
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 def run_cli(capsys, *argv):
@@ -157,6 +160,22 @@ class TestLearn:
         assert report["posteriors"] == [
             entry["posterior"] for entry in report["ranking"]
         ]
+
+    @pytest.mark.parametrize("policy", ["uniform-classes", "uniform-structures"])
+    def test_exhaustive_text_is_pinned(self, capsys, sample_dir, policy):
+        # The fixtures are the text reports of an earlier release; the text
+        # rounds scores to 6 decimals, so they do not depend on the BLAS build.
+        code, out, _ = run_cli(
+            capsys,
+            "learn",
+            str(sample_dir / "cases.csv"),
+            str(sample_dir / "prior.json"),
+            "--policy",
+            policy,
+        )
+        assert code == 0
+        expected = FIXTURES / f"learn_demo_{policy}.txt"
+        assert out == expected.read_text(encoding="utf-8")
 
     def test_exhaustive_cap_exit_code(self, capsys, tmp_path):
         header = ",".join(f"v{i}" for i in range(7))

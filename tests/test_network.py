@@ -8,6 +8,7 @@ import pytest
 from bgelearn.errors import (
     CycleDetectedError,
     DataParseError,
+    InvalidNetworkError,
     NonPositiveVarianceError,
     TooLargeError,
     UnknownVariableError,
@@ -16,9 +17,12 @@ from bgelearn.errors import (
 from bgelearn.data import stats
 from bgelearn.network import (
     Dag,
+    EquivalenceClass,
     GaussianNetwork,
     GaussianParams,
+    class_key,
     class_members,
+    enumerate_classes,
     enumerate_dags,
     from_precision,
     implied_covariance,
@@ -308,6 +312,113 @@ class TestClassMembers:
     def test_collider_class_is_singleton(self):
         collider = Dag.from_edges(("x1", "x2", "x3"), [("x1", "x3"), ("x2", "x3")])
         assert class_members(collider).size == 1
+
+
+# Names whose sorted order differs from their declaration order.
+SHUFFLED_NAMES = ("b", "x", "a", "z")
+
+
+def all_dags_oracle(names):
+    """Every DAG on ``names`` from the none/forward/backward states of the
+    node pairs, acyclicity checked by repeatedly removing parentless nodes."""
+    n = len(names)
+    pairs = list(itertools.combinations(range(n), 2))
+    out = []
+    for states in itertools.product((0, 1, 2), repeat=len(pairs)):
+        parents = [set() for _ in range(n)]
+        for (i, j), s in zip(pairs, states):
+            if s == 1:
+                parents[j].add(i)
+            elif s == 2:
+                parents[i].add(j)
+        left = set(range(n))
+        while any(not parents[v] & left for v in left):
+            left -= {v for v in left if not parents[v] & left}
+        if not left:
+            out.append(Dag(names, tuple(frozenset(ps) for ps in parents)))
+    return out
+
+
+def classes_oracle(dags):
+    """Group by the name-based ``class_key``; order members and classes by
+    their sorted edge-name lists. Returns a list of member lists."""
+    groups = {}
+    for dag in dags:
+        groups.setdefault(class_key(dag), []).append(dag)
+    by_edges = lambda dag: sorted(dag.edge_names())  # noqa: E731
+    classes = [sorted(members, key=by_edges) for members in groups.values()]
+    return sorted(classes, key=lambda members: by_edges(members[0]))
+
+
+def as_lists(classes):
+    for cls in classes:
+        assert cls.representative == cls.members[0]
+    return [list(cls.members) for cls in classes]
+
+
+class TestClassCoreAgainstOracle:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_all_three_entry_points(self, n):
+        names = SHUFFLED_NAMES[:n]
+        dags = all_dags_oracle(names)
+        expected = classes_oracle(dags)
+        assert as_lists(enumerate_classes(n, names)) == expected
+        shuffled = [dags[i] for i in np.random.default_rng(n).permutation(len(dags))]
+        assert as_lists(partition_classes(shuffled)) == expected
+        for members in expected:
+            for dag in members:
+                assert as_lists([class_members(dag)]) == [members]
+        assert enumerate_dags(n, names) == [d for ms in expected for d in ms]
+
+    def test_partition_mixes_variable_orders(self):
+        names, other = ("b", "x", "a"), ("a", "b", "x")
+        dags = all_dags_oracle(names)
+        mixed = [
+            Dag.from_edges(other, d.edge_names()) if k % 2 else d
+            for k, d in enumerate(dags)
+        ]
+        classes = partition_classes(mixed)
+        expected = classes_oracle(mixed)  # class_key is name-based
+        assert [[id(m) for m in c.members] for c in classes] == [
+            [id(m) for m in ms] for ms in expected
+        ]
+        assert {m.variables for c in classes for m in c.members} == {names, other}
+
+    def test_five_nodes(self):
+        classes = enumerate_classes(5, ("e", "b", "d", "a", "c"))
+        assert len(classes) == 8782
+        assert sum(c.size for c in classes) == 29281
+        for cls in classes:
+            keys = [sorted(m.edge_names()) for m in cls.members]
+            assert sorted(cls.representative.edge_names()) == min(keys)
+            assert len({class_key(m) for m in cls.members}) == 1
+        assert len({class_key(c.representative) for c in classes}) == 8782
+
+    def test_lazy_and_eager_classes_agree(self):
+        for lazy in enumerate_classes(4, SHUFFLED_NAMES):
+            eager = class_members(lazy.representative)
+            assert hash(lazy) == hash(eager)
+            assert lazy == eager and eager == lazy
+            assert lazy.size == eager.size
+        a, b = enumerate_classes(3)[3:5]
+        assert a != b
+
+    def test_lazy_class_checks_its_first_member(self):
+        lazy = next(c for c in enumerate_classes(3) if c.size > 1)
+        other = class_members(lazy.representative).members[1]
+        wrong = EquivalenceClass._lazy(other, lazy._masks)
+        with pytest.raises(InvalidNetworkError):
+            wrong.members
+
+    def test_caller_built_class_checks_representative(self):
+        a = Dag.from_edges(("x", "y"), [("x", "y")])
+        b = Dag.from_edges(("x", "y"))
+        with pytest.raises(InvalidNetworkError):
+            EquivalenceClass((a,), b)
+
+    def test_cap(self):
+        with pytest.raises(TooLargeError):
+            enumerate_classes(7)
 
 
 def precision_flat(theta, n):

@@ -164,6 +164,7 @@ class TestLogMarginalComplete:
             TOY_LOG_DENSITY, abs=1e-12
         )
 
+    @pytest.mark.slow
     def test_toy_case_against_quadrature(self):
         closed = math.exp(log_marginal_complete(TOY_PRIOR, single_case(0.0)))
         assert closed == pytest.approx(0.3536, rel=1e-3)

@@ -7,14 +7,16 @@ from bgelearn.network import (
     Dag,
     GaussianNetwork,
     GaussianParams,
+    class_key,
     sample,
     same_class,
     topological_order,
 )
 from bgelearn.priors import NormalWishartPrior, StructurePrior
-from bgelearn.scoring import score_structure
+from bgelearn.scoring import Scorer, score_structure
 from bgelearn.search import exhaustive, hill_climb
 
+from test_network import SHUFFLED_NAMES, all_dags_oracle
 from test_scoring import scratch_local
 
 
@@ -89,6 +91,28 @@ class TestExhaustive:
                 + np.log(entry.unit.size)
             )
             assert entry.log_score == pytest.approx(expected, abs=1e-12)
+
+    def test_verify_on_four_variables_against_every_dag(self):
+        names = SHUFFLED_NAMES
+        parents = (frozenset(), frozenset({0}), frozenset({0, 1}), frozenset({2}))
+        coeffs = {(1, 0): 0.9, (2, 0): -0.7, (2, 1): 1.1, (3, 2): 0.8}
+        net = GaussianNetwork(
+            Dag(names, parents), GaussianParams((0.0,) * 4, (1.0,) * 4, coeffs)
+        )
+        d = sample(net, 60, seed=4)
+        prior = flat_prior(4)
+        report = exhaustive(d, prior, StructurePrior.UNIFORM_STRUCTURES, verify=True)
+        assert len(report.ranked) == 185
+        assert sum(e.unit.size for e in report.ranked) == 543
+        assert report.evaluations == 185 + sum(e.unit.size > 1 for e in report.ranked)
+        by_key = {class_key(e.unit.representative): e for e in report.ranked}
+        scorer = Scorer(d, prior)
+        for dag in all_dags_oracle(names):
+            entry = by_key[class_key(dag)]
+            expected = (
+                scorer.score(dag).log_marginal - np.log(543) + np.log(entry.unit.size)
+            )
+            assert entry.log_score == pytest.approx(expected, abs=1e-9)
 
     def test_too_many_variables(self):
         d = Dataset(tuple(f"v{i}" for i in range(7)), np.zeros((2, 7)))
