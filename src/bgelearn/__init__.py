@@ -66,9 +66,7 @@ from .scoring import (
     log_marginal_complete,
     log_predictive,
     log_wishart_norm,
-    mc_marginal_oracle,
     posterior_over_set,
-    sample_wishart,
     score_structure,
     update_posterior,
 )

@@ -4,13 +4,12 @@ Everything here works on plain float64 ``numpy`` arrays. The Cholesky factor
 is LAPACK's (``numpy.linalg.cholesky``), followed by an explicit pivot
 tolerance: it gives us the log-determinant and the inverse for free, and a
 clean failure signal when a precision or covariance matrix is not positive
-definite.
+definite. The module needs numpy alone.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .errors import IndexOutOfRangeError, NotPositiveDefiniteError
 
@@ -67,9 +66,10 @@ def log_det(a) -> float:
 
 
 def invert_spd(a) -> np.ndarray:
-    """Invert a symmetric positive definite matrix via its Cholesky factor."""
-    lower = spd_factor(a)
-    inv = cho_solve((lower, True), np.eye(lower.shape[0]))
+    """Invert a symmetric positive definite matrix via its Cholesky factor:
+    with ``a = L L^T``, the inverse is ``L^-T L^-1``."""
+    inv_lower = np.linalg.inv(spd_factor(a))
+    inv = inv_lower.T @ inv_lower
     return (inv + inv.T) / 2.0
 
 

@@ -4,8 +4,8 @@ The closed-form machinery: the Wishart normalizing constant, conjugate
 normal-Wishart posterior updates, the exact marginal likelihood of complete
 data under a complete structure, the per-variable local scores that extend
 it to arbitrary structures (computed by a :class:`Scorer` bound to one
-dataset and prior), and two independent validation oracles (a constructive
-Wishart Monte-Carlo estimator and, in the tests, direct quadrature).
+dataset and prior). The independent validation oracles (a constructive
+Wishart Monte-Carlo estimator and direct quadrature) live in the tests.
 
 All densities live in natural-log space end to end; convert to base-10
 scientific notation only when presenting results.
@@ -18,17 +18,14 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.special import gammaln, logsumexp
 
 from .data import Dataset, SufficientStats, stats
 from .errors import (
     DimensionMismatchError,
     EmptyInputError,
     GammaDomainError,
-    NonIntegerAlphaError,
 )
-from .linalg import log_det, spd_factor
+from .linalg import log_det
 from .network import Dag, topological_order
 from .priors import NormalWishartPrior
 
@@ -49,15 +46,15 @@ def log_wishart_norm(n: int, alpha: float) -> float:
     """
     if n < 1:
         raise GammaDomainError(f"dimension must be at least 1, got {n}")
-    args = (alpha + 1.0 - np.arange(1, n + 1)) / 2.0
-    if np.any(args <= 0.0):
+    args = [(alpha + 1.0 - i) / 2.0 for i in range(1, n + 1)]
+    if min(args) <= 0.0:
         raise GammaDomainError(
             f"alpha = {alpha} gives a nonpositive gamma argument at n = {n}"
         )
     return float(
         -(alpha * n / 2.0) * math.log(2.0)
         - (n * (n - 1) / 4.0) * math.log(math.pi)
-        - gammaln(args).sum()
+        - sum(math.lgamma(x) for x in args)
     )
 
 
@@ -289,83 +286,3 @@ def posterior_over_set(scores: Sequence[StructureScore]) -> list[float]:
     if not scores:
         raise EmptyInputError("no structures to normalize over")
     return list(normalize_log_weights([s.log_marginal for s in scores]))
-
-
-# ---------------------------------------------------------------------------
-# Monte-Carlo oracle
-
-
-def sample_wishart(t0, alpha: int, count: int, rng) -> np.ndarray:
-    """Draw Wishart precision matrices constructively.
-
-    Each draw is the sum of ``alpha`` outer products of normal vectors with
-    zero mean and precision matrix ``t0``; stacked result has shape
-    (count, n, n).
-    """
-    t0 = np.asarray(t0, dtype=float)
-    n = t0.shape[0]
-    lower = spd_factor(t0)
-    inv_lower = solve_triangular(lower, np.eye(n), lower=True)
-    z = rng.standard_normal((count, alpha, n))
-    y = z @ inv_lower  # rows have covariance inverse(t0)
-    return np.einsum("sai,saj->sij", y, y)
-
-
-def mc_marginal_oracle(
-    prior: NormalWishartPrior,
-    d: Dataset,
-    samples: int,
-    seed: int,
-    chunk: int = 100_000,
-) -> tuple[float, float]:
-    """Monte-Carlo estimate of the log marginal likelihood.
-
-    Draws (precision, mean) pairs from the prior by constructive Wishart
-    sampling, averages the data likelihood over draws, and returns the log
-    of that average together with its delta-method standard error (the
-    relative standard error of the density). Requires an integer ``alpha``
-    of at least the dimension. With no cases the estimate is exactly log 1.
-    """
-    n = prior.dim
-    if prior.alpha != int(prior.alpha):
-        raise NonIntegerAlphaError(
-            f"constructive sampling needs integer alpha, got {prior.alpha}"
-        )
-    alpha = int(prior.alpha)
-    if samples < 1:
-        raise ValueError(f"samples must be positive, got {samples}")
-    if d.width != n:
-        raise DimensionMismatchError(
-            f"dataset has {d.width} variables, prior has {n}"
-        )
-    if d.count == 0:
-        return 0.0, 0.0
-
-    rng = np.random.default_rng(seed)
-    cases = d.cases
-    m = cases.shape[0]
-    log_liks = np.empty(samples)
-    done = 0
-    while done < samples:
-        size = min(chunk, samples - done)
-        w = sample_wishart(prior.t0, alpha, size, rng)
-        lw = np.linalg.cholesky(w)
-        log_det_w = 2.0 * np.log(
-            np.einsum("sii->si", lw)
-        ).sum(axis=1)
-        inv_lw = np.linalg.inv(lw)
-        u = rng.standard_normal((size, n))
-        means = prior.mu0 + np.einsum("si,sij->sj", u, inv_lw) / math.sqrt(prior.nu)
-        diffs = cases[None, :, :] - means[:, None, :]  # (size, m, n)
-        quad = np.einsum("sli,sij,slj->s", diffs, w, diffs)
-        log_liks[done : done + size] = (
-            -0.5 * n * m * LOG_2PI + 0.5 * m * log_det_w - 0.5 * quad
-        )
-        done += size
-
-    log_mean = float(logsumexp(log_liks) - math.log(samples))
-    weights = np.exp(log_liks - log_liks.max())
-    rel_se = float(
-        weights.std(ddof=1) / weights.mean() / math.sqrt(samples)
-    )
-    return log_mean, rel_se

@@ -43,13 +43,12 @@ from bgelearn.scoring import (
     Scorer,
     log_marginal_complete,
     log_predictive,
-    mc_marginal_oracle,
-    sample_wishart,
     score_structure,
     update_posterior,
 )
 from bgelearn.search import exhaustive, hill_climb
 
+from oracles import mc_marginal_oracle, sample_wishart
 from test_network import precision_flat
 from test_scoring import (
     posterior_t_oracle,

@@ -1,12 +1,18 @@
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import bgelearn
 from bgelearn.cli import main
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
+NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:e[-+]?\d+)?")
 
 
 def run_cli(capsys, *argv):
@@ -278,6 +284,91 @@ class TestPredict:
         )
         assert code == 2
         assert err
+
+
+def assert_numbers_match(actual: str, expected: str, zero: float) -> None:
+    """Compare two reports number by number at the precision the text
+    prints (10 significant digits), reading any number below ``zero`` in
+    magnitude as 0; everything between the numbers must match exactly."""
+
+    def rounded(text):
+        return [
+            "0" if abs(float(tok)) < zero else f"{float(tok):.10g}"
+            for tok in NUMBER.findall(text)
+        ]
+
+    assert NUMBER.sub("#", actual) == NUMBER.sub("#", expected)
+    assert rounded(actual) == rounded(expected)
+
+
+class TestPinnedDemoReports:
+    # Not byte for byte: t0[0, 1] of the elicited demo prior is 0 in exact
+    # arithmetic and prints as rounding noise near 2e-16 whose value depends
+    # on the LAPACK build, and --json prints full float precision.
+    @pytest.mark.parametrize(
+        "argv, fixture",
+        [
+            (("elicit", "prior.json"), "elicit_demo.txt"),
+            (("elicit", "prior.json", "--json"), "elicit_demo.json"),
+            (("predict", "cases.csv", "prior.json", "0.5", "-0.4", "-0.8"), "predict_demo.txt"),
+            (
+                ("predict", "cases.csv", "prior.json", "0.5", "-0.4", "-0.8", "--json"),
+                "predict_demo.json",
+            ),
+        ],
+    )
+    def test_demo_report_is_pinned(
+        self, capsys, monkeypatch, sample_dir, demo_prior, argv, fixture
+    ):
+        monkeypatch.chdir(sample_dir)  # the fixtures record relative input paths
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        zero = 1e-12 * float(abs(demo_prior.t0).max())
+        expected = (FIXTURES / fixture).read_text(encoding="utf-8")
+        assert_numbers_match(out, expected, zero)
+
+    def test_comparison_rejects_a_changed_digit(self):
+        assert_numbers_match("t0: 1.714285714 2e-16", "t0: 1.714285714 -3e-16", 1e-12)
+        with pytest.raises(AssertionError):
+            assert_numbers_match("t0: 1.714285715 0", "t0: 1.714285714 0", 1e-12)
+        with pytest.raises(AssertionError):
+            assert_numbers_match("t0: 2e-12", "t0: 0", 1e-12)
+
+
+# Runs every CLI command on the demo inputs in a fresh interpreter, then
+# prints the scipy modules it loaded; the runtime needs numpy alone.
+NO_SCIPY_PROBE = """\
+import contextlib, io, sys
+import bgelearn, bgelearn.cli
+s = sys.argv[1]
+runs = [
+    ["elicit", f"{s}/prior.json"],
+    ["score", f"{s}/cases.csv", f"{s}/prior.json", f"{s}/chain.json"],
+    ["learn", f"{s}/cases.csv", f"{s}/prior.json"],
+    ["learn", f"{s}/cases.csv", f"{s}/prior.json", "--mode", "greedy", "--restarts", "2"],
+    ["predict", f"{s}/cases.csv", f"{s}/prior.json", "0.5", "-0.4", "-0.8"],
+    ["sample", f"{s}/generator.json", "--count", "5"],
+]
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        if bgelearn.cli.main(argv) != 0:
+            sys.exit(f"{argv[0]} failed")
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_cli_never_imports_scipy(sample_dir):
+    src = str(Path(bgelearn.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_PROBE, str(sample_dir)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 class TestDeterminism:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from bgelearn.errors import IndexOutOfRangeError, NotPositiveDefiniteError
 from bgelearn.linalg import invert_spd, log_det, spd_factor, submatrix
@@ -96,6 +97,14 @@ class TestInvertSpd:
         for _ in range(20):
             a = random_spd(rng, int(rng.integers(1, 7)))
             np.testing.assert_allclose(a @ invert_spd(a), np.eye(a.shape[0]), atol=1e-9)
+
+    def test_matches_cholesky_solve(self):
+        rng = np.random.default_rng(41)
+        for _ in range(60):
+            a = random_spd(rng, int(rng.integers(1, 31)))
+            expected = cho_solve(cho_factor(a, lower=True), np.eye(a.shape[0]))
+            err = np.abs(invert_spd(a) - expected).max() / np.abs(expected).max()
+            assert err <= 1e-14 * np.linalg.cond(a)
 
 
 class TestSubmatrix:

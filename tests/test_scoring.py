@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 from scipy.integrate import dblquad
+from scipy.special import gammaln
 
 from bgelearn.data import Dataset, project, stats
 from bgelearn.errors import (
@@ -29,13 +30,13 @@ from bgelearn.scoring import (
     log_marginal_complete,
     log_predictive,
     log_wishart_norm,
-    mc_marginal_oracle,
     posterior_over_set,
-    sample_wishart,
     score_structure,
     update_posterior,
 )
 from bgelearn.search import hill_climb
+
+from oracles import mc_marginal_oracle, sample_wishart
 
 TOY_PRIOR = NormalWishartPrior([0.0], [[1.0]], nu=1.0, alpha=2.0)
 TOY_LOG_DENSITY = -1.5 * math.log(2.0)  # exp(.) = 0.353553...
@@ -98,6 +99,19 @@ class TestLogWishartNorm:
     def test_domain_error(self):
         with pytest.raises(GammaDomainError):
             log_wishart_norm(3, 2.0)  # third gamma argument hits zero
+
+    @pytest.mark.parametrize("n", range(1, 31))
+    def test_matches_vectorized_gammaln_form(self, n):
+        alphas = [n + 2 + m for m in (0, 1, 500, 1000, 20000)]
+        alphas += [n - 1 + 0.5, n + 0.37, n + 2 + 1000.25]
+        for alpha in alphas:
+            args = (alpha + 1.0 - np.arange(1, n + 1)) / 2.0
+            expected = (
+                -(alpha * n / 2.0) * math.log(2.0)
+                - (n * (n - 1) / 4.0) * math.log(math.pi)
+                - gammaln(args).sum()
+            )
+            assert log_wishart_norm(n, alpha) == pytest.approx(expected, rel=1e-13)
 
 
 class TestUpdatePosterior:
