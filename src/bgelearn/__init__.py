@@ -1,8 +1,8 @@
 """Learn Gaussian belief-network structures from complete continuous data.
 
 The library elicits a normal-Wishart prior from a user's prior network,
-computes exact log marginal likelihoods for any DAG, partitions structures
-into score-equivalent classes, and searches for high-posterior structures
+computes exact log marginal likelihoods for any DAG, enumerates the
+score-equivalent classes of structures, and searches for high-posterior structures
 either exhaustively or by greedy hill-climbing.
 """
 
@@ -11,7 +11,6 @@ from .errors import (
     AlphaTooSmallError,
     BgeLearnError,
     CycleDetectedError,
-    DagNotInUniverseError,
     DataParseError,
     DimensionMismatchError,
     DuplicateVariableError,
@@ -20,7 +19,6 @@ from .errors import (
     IndexOutOfRangeError,
     InvalidNetworkError,
     MissingValueError,
-    NonIntegerAlphaError,
     NonPositiveVarianceError,
     NotPositiveDefiniteError,
     TooLargeError,
@@ -42,7 +40,6 @@ from .network import (
     load_structure,
     log_abs_jacobian,
     parse_network,
-    partition_classes,
     same_class,
     sample,
     to_dot,
@@ -56,18 +53,14 @@ from .priors import (
     elicit,
     load_prior,
     load_prior_spec,
-    log_structure_prior,
 )
 from .scoring import (
     NormalWishartPosterior,
     Scorer,
     StructureScore,
-    local_score,
     log_marginal_complete,
     log_predictive,
     log_wishart_norm,
-    posterior_over_set,
-    score_structure,
     update_posterior,
 )
 from .search import Move, RankedEntry, SearchReport, exhaustive, hill_climb

@@ -91,7 +91,7 @@ def _load_scoring_inputs(args):
 def cmd_score(args) -> int:
     d, prior = _load_scoring_inputs(args)
     dag = network.load_structure(args.structure)
-    result = scoring.score_structure(dag, d, prior)
+    result = scoring.Scorer(d, prior).score(dag)
     log10_total = result.log_marginal / LOG10
     report = {
         "command": "score",
@@ -234,6 +234,17 @@ def cmd_predict(args) -> int:
     return 0
 
 
+def _count(text: str) -> int:
+    """An argparse type: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bgelearn",
@@ -263,9 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[e.value for e in priors.StructurePrior],
         default=priors.StructurePrior.UNIFORM_CLASSES.value,
     )
-    p.add_argument("--restarts", type=int, default=0)
+    p.add_argument("--restarts", type=_count, default=0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-iters", type=int, default=100)
+    p.add_argument("--max-iters", type=_count, default=100)
     p.add_argument("--dot", help="also write the top structure to this DOT file")
     p.add_argument("--trace", action="store_true", help="print accepted moves")
     p.add_argument("--json", action="store_true")
@@ -273,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="draw cases from a network as CSV")
     p.add_argument("network", help="network JSON")
-    p.add_argument("--count", type=int, default=20)
+    p.add_argument("--count", type=_count, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_sample)
 

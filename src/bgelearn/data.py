@@ -3,10 +3,8 @@
 from __future__ import annotations
 
 import csv
-import hashlib
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -57,15 +55,6 @@ class Dataset:
     @property
     def width(self) -> int:
         return len(self.variables)
-
-    @cached_property
-    def digest(self) -> str:
-        """Content hash of the variable names and cell values."""
-        h = hashlib.sha256()
-        h.update("\x1f".join(self.variables).encode())
-        h.update(repr(self.cases.shape).encode())
-        h.update(np.ascontiguousarray(self.cases).tobytes())
-        return h.hexdigest()
 
     def column_index(self, name: str) -> int:
         try:
@@ -148,16 +137,15 @@ def project(d: Dataset, subset: Sequence[str]) -> Dataset:
 
 
 def stats(d: Dataset) -> SufficientStats:
-    """Sample mean and centered scatter of a dataset, memoized per instance.
+    """Sample mean and centered scatter of a dataset.
 
     Two-pass: mean first, then the scatter of the centered rows, which keeps
     the arithmetic of each entry identical under column projection (so
     restricting stats commutes exactly with projecting the data). The mean of
-    an empty dataset is the zero vector.
+    an empty dataset is the zero vector. Not memoized: each command computes
+    the stats of its dataset once, and a :class:`~bgelearn.scoring.Scorer`
+    keeps what it needs of them.
     """
-    cached = d.__dict__.get("_stats")
-    if cached is not None:
-        return cached
     m, n = d.cases.shape
     # math.fsum is exactly rounded, so each entry depends only on its own
     # column values, never on array layout or summation order; that is what
@@ -173,6 +161,4 @@ def stats(d: Dataset) -> SufficientStats:
             scatter[i, j] = scatter[j, i] = math.fsum(
                 (centered[:, i] * centered[:, j]).tolist()
             )
-    result = SufficientStats(m, mean, scatter)
-    d.__dict__["_stats"] = result
-    return result
+    return SufficientStats(m, mean, scatter)

@@ -70,13 +70,5 @@ class GammaDomainError(BgeLearnError):
     """A log-gamma argument is outside the positive domain."""
 
 
-class DagNotInUniverseError(BgeLearnError):
-    """The scored structure is not a member of the declared universe."""
-
-
 class EmptyInputError(BgeLearnError):
     """A nonempty collection was required."""
-
-
-class NonIntegerAlphaError(BgeLearnError):
-    """The constructive Wishart sampler needs an integer degree count."""

@@ -7,9 +7,8 @@ precision matrix is obtained from (variances, arc coefficients) by a
 recursion along any ancestral ordering; the reverse transform recovers the
 parameters of the complete network in a chosen ordering.
 
-Equivalence classes (same skeleton, same v-structures) are enumerated,
-partitioned and ordered on numpy arrays of integer parent masks, one row per
-DAG: each row is keyed by a skeleton bitmask and a v-structure bitmask and
+Equivalence classes (same skeleton, same v-structures) are enumerated and
+ordered on numpy arrays of integer parent masks, one row per DAG: each row is keyed by a skeleton bitmask and a v-structure bitmask and
 ordered by its sorted (parent, child) name list, and a :class:`Dag` is built
 only for the rows a caller reads. ``class_key`` and ``same_class`` compute
 the same relation from names and serve as its independent check.
@@ -98,11 +97,6 @@ class Dag:
         return tuple(
             (self.variables[p], self.variables[c]) for p, c in self.edges()
         )
-
-    def replace_parents(self, child: int, new_parents: Iterable[int]) -> "Dag":
-        ps = list(self.parents)
-        ps[child] = frozenset(new_parents)
-        return Dag(self.variables, tuple(ps))
 
     @classmethod
     def from_edges(
@@ -401,9 +395,10 @@ def enumerate_classes(
 ) -> list[EquivalenceClass]:
     """All equivalence classes of labeled DAGs on ``n`` nodes; capped at n = 6.
 
-    Equal to ``partition_classes`` of every DAG, in the same order, but only
-    each class's representative is built as a :class:`Dag`; the other
-    members wait as parent masks until ``members`` is read.
+    Members are ordered by their sorted (parent, child) name lists and
+    classes by that of their least member, the representative. Only each
+    representative is built as a :class:`Dag`; the other members wait as
+    parent masks until ``members`` is read.
     """
     if n < 1:
         raise ValueError(f"need at least one variable, got {n}")
@@ -434,39 +429,6 @@ def enumerate_dags(n: int, variables: Sequence[str] | None = None) -> list[Dag]:
     members within a class by their own.
     """
     return [dag for cls in enumerate_classes(n, variables) for dag in cls.members]
-
-
-def partition_classes(dags: Sequence[Dag]) -> list[EquivalenceClass]:
-    """Partition DAGs into equivalence classes of the given Dag objects.
-
-    DAGs declared in another variable order are compared by name; at most
-    64 variables. Members and classes are ordered by their sorted
-    (parent, child) name lists, so the output does not depend on the order
-    of the input.
-    """
-    if not dags:
-        return []
-    names = dags[0].variables
-    index = {name: i for i, name in enumerate(names)}
-    rows = []
-    for dag in dags:
-        if set(dag.variables) != index.keys():
-            raise VariableMismatchError(
-                f"variable sets differ: {sorted(names)} vs {sorted(dag.variables)}"
-            )
-        col = [index[v] for v in dag.variables]
-        row = [0] * len(names)
-        for c, ps in enumerate(dag.parents):
-            row[col[c]] = sum(1 << col[p] for p in ps)
-        rows.append(row)
-    masks = np.array(rows, dtype=_mask_dtype(len(names)))
-    order, bounds = _order_classes(masks, _ranks(names), len(names))
-    order = order.tolist()
-    classes = []
-    for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        members = tuple(dags[i] for i in order[a:b])
-        classes.append(EquivalenceClass(members, members[0]))
-    return classes
 
 
 def class_members(dag: Dag, max_edges: int = 16) -> EquivalenceClass:
@@ -687,7 +649,7 @@ def log_abs_jacobian(cond_variances: Sequence[float]) -> float:
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# JSON documents
 
 
 def _require_number(value, where: str) -> float:
@@ -696,12 +658,22 @@ def _require_number(value, where: str) -> float:
     return float(value)
 
 
-def parse_network(obj) -> GaussianNetwork:
-    """Build a network from the JSON document structure.
+def read_json(path):
+    """The JSON document in a file; malformed JSON is a :class:`DataParseError`."""
+    path = Path(path)
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise DataParseError(f"{path}: {exc}") from None
 
-    Expected shape: ``{"variables": [{"name", "mean", "variance",
-    "parents": [{"name", "coeff"}, ...]}, ...]}``. Parent references may
-    point forward or backward; cycles are rejected here.
+
+def _variable_entries(obj) -> tuple[list, list[str], dict[str, int]]:
+    """The variable entries of a network or structure document, their names
+    and each name's index.
+
+    Checks what both document kinds share: a ``"variables"`` array of named,
+    distinct entries whose ``parents``, where given, is a list in which every
+    object has a ``name``.
     """
     if not isinstance(obj, dict) or not isinstance(obj.get("variables"), list):
         raise DataParseError('expected an object with a "variables" array')
@@ -713,7 +685,24 @@ def parse_network(obj) -> GaussianNetwork:
         names.append(str(e["name"]))
     if len(set(names)) != len(names):
         raise DuplicateVariableError(f"duplicate variable name in {names}")
-    index = {name: i for i, name in enumerate(names)}
+    for name, e in zip(names, entries):
+        arcs = e.get("parents", [])
+        if not isinstance(arcs, list):
+            raise DataParseError(f'{name}: "parents" must be a list, got {arcs!r}')
+        for arc in arcs:
+            if isinstance(arc, dict) and "name" not in arc:
+                raise DataParseError(f"{name}: parent entry needs a name: {arc!r}")
+    return entries, names, {name: i for i, name in enumerate(names)}
+
+
+def parse_network(obj) -> GaussianNetwork:
+    """Build a network from the JSON document structure.
+
+    Expected shape: ``{"variables": [{"name", "mean", "variance",
+    "parents": [{"name", "coeff"}, ...]}, ...]}``. Parent references may
+    point forward or backward; cycles are rejected here.
+    """
+    entries, names, index = _variable_entries(obj)
     means, variances = [], []
     parents: list[set[int]] = [set() for _ in names]
     coefficients: dict[tuple[int, int], float] = {}
@@ -721,7 +710,7 @@ def parse_network(obj) -> GaussianNetwork:
         means.append(_require_number(e.get("mean"), f"{names[i]}.mean"))
         variances.append(_require_number(e.get("variance"), f"{names[i]}.variance"))
         for arc in e.get("parents", ()):
-            if not isinstance(arc, dict) or "name" not in arc:
+            if not isinstance(arc, dict):
                 raise DataParseError(f"{names[i]}: parent entry needs a name: {arc!r}")
             pname = str(arc["name"])
             if pname not in index:
@@ -741,48 +730,16 @@ def parse_network(obj) -> GaussianNetwork:
     return GaussianNetwork(dag, params)
 
 
-def network_to_dict(net: GaussianNetwork) -> dict:
-    """Inverse of :func:`parse_network`."""
-    out = []
-    for i, name in enumerate(net.variables):
-        out.append(
-            {
-                "name": name,
-                "mean": net.params.means[i],
-                "variance": net.params.cond_variances[i],
-                "parents": [
-                    {"name": net.variables[p], "coeff": net.params.coeff(i, p)}
-                    for p in sorted(net.dag.parents[i])
-                ],
-            }
-        )
-    return {"variables": out}
-
-
 def load_network(path) -> GaussianNetwork:
-    path = Path(path)
-    try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataParseError(f"{path}: {exc}") from None
-    return parse_network(obj)
+    return parse_network(read_json(path))
 
 
 def parse_structure(obj) -> Dag:
     """Parse a bare structure: like the network format, but parameters are
     optional and parent entries may be plain name strings."""
-    if not isinstance(obj, dict) or not isinstance(obj.get("variables"), list):
-        raise DataParseError('expected an object with a "variables" array')
-    names = []
-    for e in obj["variables"]:
-        if not isinstance(e, dict) or "name" not in e:
-            raise DataParseError(f"variable entry missing a name: {e!r}")
-        names.append(str(e["name"]))
-    if len(set(names)) != len(names):
-        raise DuplicateVariableError(f"duplicate variable name in {names}")
-    index = {name: i for i, name in enumerate(names)}
+    entries, names, index = _variable_entries(obj)
     parents: list[set[int]] = [set() for _ in names]
-    for i, e in enumerate(obj["variables"]):
+    for i, e in enumerate(entries):
         for arc in e.get("parents", ()):
             pname = str(arc["name"]) if isinstance(arc, dict) else str(arc)
             if pname not in index:
@@ -796,12 +753,7 @@ def parse_structure(obj) -> Dag:
 
 
 def load_structure(path) -> Dag:
-    path = Path(path)
-    try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataParseError(f"{path}: {exc}") from None
-    return parse_structure(obj)
+    return parse_structure(read_json(path))
 
 
 def to_dot(dag: Dag, name: str = "learned") -> str:

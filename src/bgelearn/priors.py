@@ -12,28 +12,14 @@ exactly the stated means and covariance.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    AlphaTooSmallError,
-    DagNotInUniverseError,
-    DataParseError,
-    DimensionMismatchError,
-    EmptyInputError,
-)
+from .errors import AlphaTooSmallError, DataParseError, DimensionMismatchError
 from .linalg import spd_factor, submatrix
-from .network import (
-    Dag,
-    GaussianNetwork,
-    implied_covariance,
-    parse_network,
-    partition_classes,
-)
+from .network import GaussianNetwork, implied_covariance, parse_network, read_json
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,34 +105,14 @@ def elicit(spec: PriorSpec) -> NormalWishartPrior:
 
     The location vector is the network's means; the Wishart hyperparameter
     is the network's implied covariance scaled by
-    ``nu * (alpha - n - 1) / (nu + 1)``.
+    ``nu * (alpha - n - 1) / (nu + 1)``, which is positive because
+    :class:`PriorSpec` requires ``alpha > n + 1``.
     """
     n = spec.prior_network.dag.size
-    if not spec.alpha > n + 1:
-        raise AlphaTooSmallError(
-            f"alpha must exceed n + 1 = {n + 1} for elicitation, got {spec.alpha}"
-        )
     scale = spec.nu * (spec.alpha - n - 1) / (spec.nu + 1.0)
     t0 = scale * implied_covariance(spec.prior_network)
     mu0 = np.array(spec.prior_network.params.means, dtype=float)
     return NormalWishartPrior(mu0, t0, spec.nu, spec.alpha)
-
-
-def log_structure_prior(
-    policy: StructurePrior, dag: Dag, universe: Sequence[Dag]
-) -> float:
-    """Log prior probability of one labeled DAG under a uniform policy.
-
-    Every member of an equivalence class receives the identical value, so
-    class posterior mass is well defined under either policy.
-    """
-    if not universe:
-        raise EmptyInputError("empty structure universe")
-    if dag not in universe:
-        raise DagNotInUniverseError(f"structure {dag.edge_names()} not in universe")
-    if policy is StructurePrior.UNIFORM_STRUCTURES:
-        return -float(np.log(len(universe)))
-    return -float(np.log(len(partition_classes(list(universe)))))
 
 
 def parse_prior_spec(obj) -> PriorSpec:
@@ -163,12 +129,7 @@ def parse_prior_spec(obj) -> PriorSpec:
 
 
 def load_prior_spec(path) -> PriorSpec:
-    path = Path(path)
-    try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataParseError(f"{path}: {exc}") from None
-    return parse_prior_spec(obj)
+    return parse_prior_spec(read_json(path))
 
 
 def parse_prior(obj) -> tuple[NormalWishartPrior, tuple[str, ...] | None]:
@@ -207,9 +168,4 @@ def parse_prior(obj) -> tuple[NormalWishartPrior, tuple[str, ...] | None]:
 
 
 def load_prior(path) -> tuple[NormalWishartPrior, tuple[str, ...] | None]:
-    path = Path(path)
-    try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataParseError(f"{path}: {exc}") from None
-    return parse_prior(obj)
+    return parse_prior(read_json(path))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -162,7 +162,6 @@ def log_predictive(prior: NormalWishartPrior, case) -> float:
 class StructureScore:
     """A structure's log marginal likelihood and its per-variable terms."""
 
-    dag: Dag
     log_marginal: float
     local_terms: tuple[float, ...]
 
@@ -229,7 +228,12 @@ class Scorer:
         return value
 
     def score(self, dag: Dag) -> StructureScore:
-        """Score a DAG on the dataset's variables: the sum of its local scores."""
+        """Score a DAG on the dataset's variables: the sum of its local scores.
+
+        No structure prior is added: a uniform one is constant over any fixed
+        candidate set, so it changes neither rankings nor normalized
+        posteriors.
+        """
         if set(dag.variables) != set(self.variables):
             raise DimensionMismatchError(
                 f"structure variables {sorted(dag.variables)} do not match "
@@ -245,31 +249,7 @@ class Scorer:
                 for i, ps in enumerate(dag.parents)
             )
         terms = tuple(self.local(child, ps) for child, ps in families)
-        return StructureScore(dag, float(sum(terms)), terms)
-
-
-def local_score(
-    child: str, parents: Iterable[str], d: Dataset, prior: NormalWishartPrior
-) -> float:
-    """The contribution of one variable with one parent set.
-
-    Log marginal of the data over {child} + parents minus log marginal of
-    the data over the parents alone, both computed with correspondingly
-    restricted hyperparameters and unchanged sample sizes.
-    """
-    parent_ix = frozenset(d.column_index(p) for p in parents)
-    return Scorer(d, prior).local(d.column_index(child), parent_ix)
-
-
-def score_structure(
-    dag: Dag, d: Dataset, prior: NormalWishartPrior
-) -> StructureScore:
-    """Score a DAG: the sum of its local scores, with no structure prior.
-
-    A uniform structure prior is constant over any fixed candidate set, so
-    leaving it out changes neither rankings nor normalized posteriors.
-    """
-    return Scorer(d, prior).score(dag)
+        return StructureScore(float(sum(terms)), terms)
 
 
 def normalize_log_weights(log_weights: Sequence[float]) -> np.ndarray:
@@ -279,10 +259,3 @@ def normalize_log_weights(log_weights: Sequence[float]) -> np.ndarray:
     arr = np.asarray(log_weights, dtype=float)
     shifted = np.exp(arr - arr.max())
     return shifted / shifted.sum()
-
-
-def posterior_over_set(scores: Sequence[StructureScore]) -> list[float]:
-    """Posterior probabilities of a candidate set from their scores."""
-    if not scores:
-        raise EmptyInputError("no structures to normalize over")
-    return list(normalize_log_weights([s.log_marginal for s in scores]))

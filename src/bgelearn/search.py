@@ -38,7 +38,7 @@ class Move(NamedTuple):
 
 
 class RankedEntry(NamedTuple):
-    unit: EquivalenceClass | Dag
+    unit: EquivalenceClass
     log_score: float
     posterior: float
 
@@ -65,17 +65,8 @@ class SearchReport:
 def _rank_entries(units, log_scores) -> tuple[RankedEntry, ...]:
     posteriors = normalize_log_weights(log_scores)
     entries = list(zip(units, log_scores, posteriors))
-    entries.sort(
-        key=lambda e: (
-            -e[1],
-            sorted(_unit_representative(e[0]).edge_names()),
-        )
-    )
+    entries.sort(key=lambda e: (-e[1], sorted(e[0].representative.edge_names())))
     return tuple(RankedEntry(u, float(s), float(p)) for u, s, p in entries)
-
-
-def _unit_representative(unit) -> Dag:
-    return unit.representative if isinstance(unit, EquivalenceClass) else unit
 
 
 def exhaustive(

@@ -14,10 +14,14 @@ from scipy.linalg import solve_triangular
 from scipy.special import logsumexp
 
 from bgelearn.data import Dataset
-from bgelearn.errors import DimensionMismatchError, NonIntegerAlphaError
+from bgelearn.errors import BgeLearnError, DimensionMismatchError
 from bgelearn.linalg import spd_factor
 from bgelearn.priors import NormalWishartPrior
 from bgelearn.scoring import LOG_2PI
+
+
+class NonIntegerAlphaError(BgeLearnError):
+    """The constructive Wishart sampler needs an integer degree count."""
 
 
 def sample_wishart(t0, alpha: int, count: int, rng) -> np.ndarray:

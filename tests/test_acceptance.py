@@ -30,11 +30,10 @@ from scipy.optimize import linprog
 from bgelearn.data import Dataset, stats
 from bgelearn.network import (
     Dag,
-    enumerate_dags,
+    enumerate_classes,
     from_precision,
     implied_covariance,
     load_network,
-    partition_classes,
     sample,
     same_class,
 )
@@ -43,7 +42,6 @@ from bgelearn.scoring import (
     Scorer,
     log_marginal_complete,
     log_predictive,
-    score_structure,
     update_posterior,
 )
 from bgelearn.search import exhaustive, hill_climb
@@ -184,7 +182,7 @@ def test_03_ranking_reproduction(demo_dataset, demo_prior, chain_dag):
     elapsed = time.perf_counter() - t0
     top = result.best
     complete_ln = log_marginal_complete(demo_prior, demo_dataset)
-    chain_ln = score_structure(chain_dag, demo_dataset, demo_prior).log_marginal
+    chain_ln = Scorer(demo_dataset, demo_prior).score(chain_dag).log_marginal
     ok = len(result.ranked) == 11 and same_class(top.unit.representative, chain_dag)
     detail = (
         f"{len(result.ranked)} classes in {elapsed:.2f}s; top = "
@@ -201,7 +199,7 @@ def test_03_ranking_reproduction(demo_dataset, demo_prior, chain_dag):
 def test_04_score_equivalence_sweeps(demo_dataset, demo_prior):
     scorer = Scorer(demo_dataset, demo_prior)
     worst3 = 0.0
-    for cls in partition_classes(enumerate_dags(3, demo_dataset.variables)):
+    for cls in enumerate_classes(3, demo_dataset.variables):
         values = [scorer.score(m).log_marginal for m in cls.members]
         worst3 = max(worst3, max(values) - min(values))
 
@@ -211,7 +209,7 @@ def test_04_score_equivalence_sweeps(demo_dataset, demo_prior):
     t0 = time.perf_counter()
     scorer4 = Scorer(d4, prior4)
     worst4 = 0.0
-    for cls in partition_classes(enumerate_dags(4, d4.variables)):
+    for cls in enumerate_classes(4, d4.variables):
         values = [scorer4.score(m).log_marginal for m in cls.members]
         worst4 = max(worst4, max(values) - min(values))
     elapsed = time.perf_counter() - t0
@@ -232,7 +230,7 @@ def test_05_complete_structure_invariance(demo_dataset, demo_prior):
         for pos, child in enumerate(order):
             parents[child] = frozenset(order[:pos])
         dag = Dag(demo_dataset.variables, tuple(parents))
-        values.append(score_structure(dag, demo_dataset, demo_prior).log_marginal)
+        values.append(Scorer(demo_dataset, demo_prior).score(dag).log_marginal)
     spread = max(values) - min(values)
     ok = spread < 1e-9
     assert report(

@@ -357,18 +357,70 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 
 
-def test_cli_never_imports_scipy(sample_dir):
+def run_python(*args) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports this checkout's ``bgelearn``."""
     src = str(Path(bgelearn.__file__).resolve().parent.parent)
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    done = subprocess.run(
-        [sys.executable, "-c", NO_SCIPY_PROBE, str(sample_dir)],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         timeout=120,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_cli_never_imports_scipy(sample_dir):
+    done = run_python("-c", NO_SCIPY_PROBE, str(sample_dir))
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def with_parents(tmp_path, source: Path, variable: str, parents) -> Path:
+    """A copy of the JSON document ``source`` in which ``variable`` has the
+    given ``parents`` entry."""
+    doc = json.loads(source.read_text())
+    for entry in doc["variables"]:
+        if entry["name"] == variable:
+            entry["parents"] = parents
+    out = tmp_path / source.name
+    out.write_text(json.dumps(doc))
+    return out
+
+
+# Command lines with one malformed value each, built from the demo inputs.
+MALFORMED = {
+    "learn --restarts -1": lambda s, t: [
+        "learn", s / "cases.csv", s / "prior.json", "--mode", "greedy", "--restarts", "-1"
+    ],
+    "learn --max-iters -1": lambda s, t: [
+        "learn", s / "cases.csv", s / "prior.json", "--mode", "greedy", "--max-iters", "-1"
+    ],
+    "sample --count -1": lambda s, t: ["sample", s / "generator.json", "--count", "-1"],
+    "structure parent without a name": lambda s, t: [
+        "score", s / "cases.csv", s / "prior.json",
+        with_parents(t, s / "chain.json", "x2", [{"coeff": 1}]),
+    ],
+    "structure parents not a list": lambda s, t: [
+        "score", s / "cases.csv", s / "prior.json",
+        with_parents(t, s / "chain.json", "x2", 5),
+    ],
+    "prior spec parents not a list": lambda s, t: [
+        "elicit", with_parents(t, s / "prior.json", "x3", 5)
+    ],
+    "network parents not a list": lambda s, t: [
+        "sample", with_parents(t, s / "generator.json", "x2", 5)
+    ],
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_input_exits_2_without_traceback(sample_dir, tmp_path, case):
+    argv = [str(a) for a in MALFORMED[case](sample_dir, tmp_path)]
+    done = run_python("-m", "bgelearn.cli", *argv)
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stderr
 
 
 class TestDeterminism:

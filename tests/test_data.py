@@ -153,10 +153,3 @@ class TestDatasetInvariants:
     def test_cases_are_read_only(self, demo_dataset):
         with pytest.raises(ValueError):
             demo_dataset.cases[0, 0] = 1.0
-
-    def test_digest_tracks_content(self, demo_dataset):
-        other = Dataset(demo_dataset.variables, demo_dataset.cases.copy())
-        assert other.digest == demo_dataset.digest
-        perturbed = np.array(demo_dataset.cases)
-        perturbed[0, 0] += 1.0
-        assert Dataset(demo_dataset.variables, perturbed).digest != demo_dataset.digest

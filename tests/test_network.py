@@ -28,10 +28,8 @@ from bgelearn.network import (
     implied_covariance,
     load_network,
     log_abs_jacobian,
-    network_to_dict,
     parse_network,
     parse_structure,
-    partition_classes,
     same_class,
     sample,
     to_dot,
@@ -274,27 +272,26 @@ class TestEnumerateDags:
 
 class TestPartitionClasses:
     def test_three_node_classes(self):
-        classes = partition_classes(enumerate_dags(3))
+        classes = enumerate_classes(3)
         assert len(classes) == 11
         assert sum(c.size for c in classes) == 25
 
     def test_two_node_classes(self):
-        classes = partition_classes(enumerate_dags(2))
+        classes = enumerate_classes(2)
         assert len(classes) == 2
         sizes = sorted(c.size for c in classes)
         assert sizes == [1, 2]
 
     def test_four_node_classes(self):
-        assert len(partition_classes(enumerate_dags(4))) == 185
+        assert len(enumerate_classes(4)) == 185
 
     def test_representative_is_least_member(self):
-        for cls in partition_classes(enumerate_dags(3)):
+        for cls in enumerate_classes(3):
             keys = [sorted(m.edge_names()) for m in cls.members]
             assert sorted(cls.representative.edge_names()) == min(keys)
 
     def test_partition_agrees_with_pairwise_oracle(self):
-        dags = enumerate_dags(3)
-        classes = partition_classes(dags)
+        classes = enumerate_classes(3)
         for cls in classes:
             for a, b in itertools.combinations(cls.members, 2):
                 assert same_class(a, b)
@@ -363,26 +360,10 @@ class TestClassCoreAgainstOracle:
         dags = all_dags_oracle(names)
         expected = classes_oracle(dags)
         assert as_lists(enumerate_classes(n, names)) == expected
-        shuffled = [dags[i] for i in np.random.default_rng(n).permutation(len(dags))]
-        assert as_lists(partition_classes(shuffled)) == expected
         for members in expected:
             for dag in members:
                 assert as_lists([class_members(dag)]) == [members]
         assert enumerate_dags(n, names) == [d for ms in expected for d in ms]
-
-    def test_partition_mixes_variable_orders(self):
-        names, other = ("b", "x", "a"), ("a", "b", "x")
-        dags = all_dags_oracle(names)
-        mixed = [
-            Dag.from_edges(other, d.edge_names()) if k % 2 else d
-            for k, d in enumerate(dags)
-        ]
-        classes = partition_classes(mixed)
-        expected = classes_oracle(mixed)  # class_key is name-based
-        assert [[id(m) for m in c.members] for c in classes] == [
-            [id(m) for m in ms] for ms in expected
-        ]
-        assert {m.variables for c in classes for m in c.members} == {names, other}
 
     def test_five_nodes(self):
         classes = enumerate_classes(5, ("e", "b", "d", "a", "c"))
@@ -474,12 +455,6 @@ class TestLogAbsJacobian:
 
 
 class TestSerialization:
-    def test_roundtrip(self):
-        net = collider_net()
-        again = parse_network(network_to_dict(net))
-        assert again.dag == net.dag
-        assert again.params == net.params
-
     def test_order_free_parent_references(self):
         obj = {
             "variables": [

@@ -1,30 +1,24 @@
 import json
-import math
 
 import numpy as np
 import pytest
 
 from bgelearn.errors import (
     AlphaTooSmallError,
-    DagNotInUniverseError,
     DataParseError,
-    EmptyInputError,
     NotPositiveDefiniteError,
 )
 from bgelearn.network import (
     Dag,
     GaussianNetwork,
     GaussianParams,
-    enumerate_dags,
     implied_covariance,
 )
 from bgelearn.priors import (
     NormalWishartPrior,
     PriorSpec,
-    StructurePrior,
     elicit,
     load_prior_spec,
-    log_structure_prior,
     parse_prior,
     parse_prior_spec,
 )
@@ -113,42 +107,6 @@ class TestNormalWishartPrior:
             sub.t0, demo_prior.t0[np.ix_([0, 2], [0, 2])]
         )
         assert (sub.nu, sub.alpha) == (demo_prior.nu, demo_prior.alpha)
-
-
-class TestStructurePriorPolicy:
-    def test_uniform_classes_three_nodes(self):
-        universe = enumerate_dags(3)
-        value = log_structure_prior(
-            StructurePrior.UNIFORM_CLASSES, universe[0], universe
-        )
-        assert value == pytest.approx(-math.log(11))
-        for dag in universe[:5]:
-            assert log_structure_prior(
-                StructurePrior.UNIFORM_CLASSES, dag, universe
-            ) == pytest.approx(value)
-
-    def test_uniform_structures_three_nodes(self):
-        universe = enumerate_dags(3)
-        assert log_structure_prior(
-            StructurePrior.UNIFORM_STRUCTURES, universe[3], universe
-        ) == pytest.approx(-math.log(25))
-
-    def test_single_dag_universe(self):
-        dag = Dag.from_edges(("a",))
-        for policy in StructurePrior:
-            assert log_structure_prior(policy, dag, [dag]) == 0.0
-
-    def test_empty_universe(self):
-        with pytest.raises(EmptyInputError):
-            log_structure_prior(
-                StructurePrior.UNIFORM_CLASSES, Dag.from_edges(("a",)), []
-            )
-
-    def test_dag_not_in_universe(self):
-        universe = enumerate_dags(2)
-        stranger = Dag.from_edges(("x1", "x2", "x3"))
-        with pytest.raises(DagNotInUniverseError):
-            log_structure_prior(StructurePrior.UNIFORM_CLASSES, stranger, universe)
 
 
 class TestPriorSpecFiles:

@@ -12,31 +12,28 @@ from bgelearn.errors import (
     DimensionMismatchError,
     EmptyInputError,
     GammaDomainError,
-    NonIntegerAlphaError,
 )
 from bgelearn.network import (
     Dag,
     GaussianNetwork,
     GaussianParams,
+    enumerate_classes,
     enumerate_dags,
     from_precision,
-    partition_classes,
     sample,
 )
 from bgelearn.priors import NormalWishartPrior
 from bgelearn.scoring import (
     Scorer,
-    local_score,
     log_marginal_complete,
     log_predictive,
     log_wishart_norm,
-    posterior_over_set,
-    score_structure,
+    normalize_log_weights,
     update_posterior,
 )
 from bgelearn.search import hill_climb
 
-from oracles import mc_marginal_oracle, sample_wishart
+from oracles import NonIntegerAlphaError, mc_marginal_oracle, sample_wishart
 
 TOY_PRIOR = NormalWishartPrior([0.0], [[1.0]], nu=1.0, alpha=2.0)
 TOY_LOG_DENSITY = -1.5 * math.log(2.0)  # exp(.) = 0.353553...
@@ -234,7 +231,7 @@ class TestLogPredictive:
 
 class TestLocalScore:
     def test_no_parents_is_single_column_marginal(self, demo_prior, demo_dataset):
-        value = local_score("x2", (), demo_dataset, demo_prior)
+        value = Scorer(demo_dataset, demo_prior).local(1, frozenset())
         expected = log_marginal_complete(
             demo_prior.restrict([1]), project(demo_dataset, ["x2"])
         )
@@ -247,7 +244,7 @@ class TestLocalScore:
                 demo_prior.restrict(keep), project(demo_dataset, names)
             )
 
-        total = score_structure(chain_dag, demo_dataset, demo_prior).log_marginal
+        total = Scorer(demo_dataset, demo_prior).score(chain_dag).log_marginal
         assembled = (
             marginal(["x1", "x2"]) + marginal(["x2", "x3"]) - marginal(["x2"])
         )
@@ -257,9 +254,11 @@ class TestLocalScore:
         # ascending subsets reproduce the projected computation bit for bit
         for names in (["x1"], ["x2"], ["x1", "x3"], ["x1", "x2", "x3"]):
             keep = [demo_dataset.variables.index(n) for n in names]
-            child, parents = names[-1], names[:-1]
-            via_local = local_score(child, parents, demo_dataset, demo_prior)
+            parents = names[:-1]
             par_keep = keep[:-1]
+            via_local = Scorer(demo_dataset, demo_prior).local(
+                keep[-1], frozenset(par_keep)
+            )
             projected = log_marginal_complete(
                 demo_prior.restrict(keep), project(demo_dataset, names)
             ) - (
@@ -289,7 +288,7 @@ class TestLocalScore:
         second = scorer.local(2, frozenset({0}))
         assert (scorer.misses, scorer.hits) == (1, 1)
         assert first == second
-        assert first == local_score("x3", ("x1",), demo_dataset, demo_prior)
+        assert first == Scorer(demo_dataset, demo_prior).local(2, frozenset({0}))
 
     def test_cache_distinguishes_priors(self, demo_prior, demo_dataset):
         other = NormalWishartPrior(
@@ -301,7 +300,7 @@ class TestLocalScore:
 
     def test_child_cannot_be_own_parent(self, demo_prior, demo_dataset):
         with pytest.raises(ValueError):
-            local_score("x1", ("x1",), demo_dataset, demo_prior)
+            Scorer(demo_dataset, demo_prior).local(0, frozenset({0}))
 
 
 def scratch_local(prior, d, child, parents):
@@ -396,12 +395,12 @@ class TestScoreStructure:
             for pos, child in enumerate(order):
                 parents[child] = frozenset(order[:pos])
             dag = Dag(names, tuple(parents))
-            result = score_structure(dag, demo_dataset, demo_prior)
+            result = Scorer(demo_dataset, demo_prior).score(dag)
             assert result.log_marginal == pytest.approx(full, abs=1e-9)
 
     def test_empty_dag_sums_single_marginals(self, demo_prior, demo_dataset):
         dag = Dag.from_edges(demo_dataset.variables)
-        result = score_structure(dag, demo_dataset, demo_prior)
+        result = Scorer(demo_dataset, demo_prior).score(dag)
         singles = sum(
             log_marginal_complete(
                 demo_prior.restrict([i]), project(demo_dataset, [name])
@@ -413,14 +412,14 @@ class TestScoreStructure:
 
     def test_variable_mismatch(self, demo_prior, demo_dataset):
         with pytest.raises(DimensionMismatchError):
-            score_structure(Dag.from_edges(("a", "b")), demo_dataset, demo_prior)
+            Scorer(demo_dataset, demo_prior).score(Dag.from_edges(("a", "b")))
 
     def test_structure_variable_order_follows_names(
         self, demo_prior, demo_dataset, chain_dag
     ):
         shuffled = Dag.from_edges(("x3", "x1", "x2"), chain_dag.edge_names())
-        ordered = score_structure(chain_dag, demo_dataset, demo_prior)
-        result = score_structure(shuffled, demo_dataset, demo_prior)
+        ordered = Scorer(demo_dataset, demo_prior).score(chain_dag)
+        result = Scorer(demo_dataset, demo_prior).score(shuffled)
         assert result.log_marginal == pytest.approx(ordered.log_marginal, abs=1e-12)
         assert result.local_terms == tuple(
             ordered.local_terms[i] for i in (2, 0, 1)
@@ -430,7 +429,7 @@ class TestScoreStructure:
 class TestScoreEquivalence:
     def test_all_classes_on_demo_inputs(self, demo_prior, demo_dataset):
         scorer = Scorer(demo_dataset, demo_prior)
-        for cls in partition_classes(enumerate_dags(3, demo_dataset.variables)):
+        for cls in enumerate_classes(3, demo_dataset.variables):
             values = [scorer.score(m).log_marginal for m in cls.members]
             assert max(values) - min(values) < 1e-9
 
@@ -441,7 +440,7 @@ class TestScoreEquivalence:
             prior = random_prior(rng, n)
             d = random_dataset(rng, n, int(rng.integers(2, 31)))
             scorer = Scorer(d, prior)
-            classes = partition_classes(enumerate_dags(n, d.variables))
+            classes = enumerate_classes(n, d.variables)
             picks = [classes[i] for i in rng.integers(0, len(classes), size=6)]
             for cls in picks:
                 values = [scorer.score(m).log_marginal for m in cls.members]
@@ -455,31 +454,30 @@ class TestScoreEquivalence:
             for pos, child in enumerate(order):
                 parents[child] = frozenset(order[:pos])
             dag = Dag(names, tuple(parents))
-            values.append(
-                score_structure(dag, demo_dataset, demo_prior).log_marginal
-            )
+            values.append(Scorer(demo_dataset, demo_prior).score(dag).log_marginal)
         assert max(values) - min(values) < 1e-9
 
 
 class TestPosteriorOverSet:
     def test_two_equal_scores(self, demo_prior, demo_dataset, chain_dag):
-        s = score_structure(chain_dag, demo_dataset, demo_prior)
-        assert posterior_over_set([s, s]) == pytest.approx([0.5, 0.5])
+        s = Scorer(demo_dataset, demo_prior).score(chain_dag).log_marginal
+        assert list(normalize_log_weights([s, s])) == pytest.approx([0.5, 0.5])
 
     def test_single_structure(self, demo_prior, demo_dataset, chain_dag):
-        s = score_structure(chain_dag, demo_dataset, demo_prior)
-        assert posterior_over_set([s]) == [1.0]
+        s = Scorer(demo_dataset, demo_prior).score(chain_dag).log_marginal
+        assert list(normalize_log_weights([s])) == [1.0]
 
     def test_sums_to_one(self, demo_prior, demo_dataset):
         scorer = Scorer(demo_dataset, demo_prior)
         scores = [
-            scorer.score(d) for d in enumerate_dags(3, demo_dataset.variables)
+            scorer.score(d).log_marginal
+            for d in enumerate_dags(3, demo_dataset.variables)
         ]
-        assert sum(posterior_over_set(scores)) == pytest.approx(1.0, abs=1e-12)
+        assert sum(normalize_log_weights(scores)) == pytest.approx(1.0, abs=1e-12)
 
     def test_empty_input(self):
         with pytest.raises(EmptyInputError):
-            posterior_over_set([])
+            normalize_log_weights([])
 
 
 class TestMonteCarloOracle:
