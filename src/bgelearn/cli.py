@@ -275,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=priors.StructurePrior.UNIFORM_CLASSES.value,
     )
     p.add_argument("--restarts", type=_count, default=0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count, default=0)
     p.add_argument("--max-iters", type=_count, default=100)
     p.add_argument("--dot", help="also write the top structure to this DOT file")
     p.add_argument("--trace", action="store_true", help="print accepted moves")
@@ -285,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="draw cases from a network as CSV")
     p.add_argument("network", help="network JSON")
     p.add_argument("--count", type=_count, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count, default=0)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("predict", help="predictive density of a case after data")

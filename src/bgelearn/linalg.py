@@ -20,8 +20,13 @@ PIVOT_RTOL = 1e-12
 _SYMMETRY_RTOL = 1e-8
 
 
-def _as_sym(a) -> np.ndarray:
-    """Validate a square symmetric matrix and return a float64 copy."""
+def as_sym(a) -> np.ndarray:
+    """Validate a square symmetric matrix and return a float64 copy.
+
+    The first step of :func:`spd_factor`. A principal submatrix of the result
+    is itself checked and exactly symmetric, so it can go straight to
+    :func:`sym_factor`.
+    """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
@@ -32,15 +37,10 @@ def _as_sym(a) -> np.ndarray:
     return (a + a.T) / 2.0
 
 
-def spd_factor(a) -> np.ndarray:
-    """Cholesky-factor a symmetric positive definite matrix.
-
-    Returns the lower-triangular L with ``L @ L.T == a``. Raises
-    :class:`NotPositiveDefiniteError` when the factorization fails or a
-    pivot ``L[j, j]**2`` falls at or below ``PIVOT_RTOL`` times the largest
-    diagonal entry.
-    """
-    a = _as_sym(a)
+def sym_factor(a: np.ndarray) -> np.ndarray:
+    """The second step of :func:`spd_factor`: Cholesky-factor a float64
+    matrix that :func:`as_sym` returned (or a principal submatrix of one),
+    with the same pivot test."""
     try:
         lower = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
@@ -55,14 +55,30 @@ def spd_factor(a) -> np.ndarray:
     return lower
 
 
+def spd_factor(a) -> np.ndarray:
+    """Cholesky-factor a symmetric positive definite matrix.
+
+    Returns the lower-triangular L with ``L @ L.T == a``. Raises
+    :class:`NotPositiveDefiniteError` when the factorization fails or a
+    pivot ``L[j, j]**2`` falls at or below ``PIVOT_RTOL`` times the largest
+    diagonal entry.
+    """
+    return sym_factor(as_sym(a))
+
+
+def sym_log_det(a: np.ndarray) -> float:
+    """:func:`log_det` of a matrix that :func:`as_sym` returned (or a
+    principal submatrix of one)."""
+    return float(2.0 * np.log(sym_factor(a).diagonal()).sum())
+
+
 def log_det(a) -> float:
     """Natural log of the determinant of a positive definite matrix.
 
     Computed as twice the log-trace of the Cholesky factor, never via the
     raw determinant, so values like exp(-200) stay representable.
     """
-    lower = spd_factor(a)
-    return float(2.0 * np.sum(np.log(lower.diagonal())))
+    return sym_log_det(as_sym(a))
 
 
 def invert_spd(a) -> np.ndarray:

@@ -84,7 +84,7 @@ class PriorSpec:
         object.__setattr__(self, "alpha", float(self.alpha))
         n = self.prior_network.dag.size
         if not self.nu > 0.0:
-            raise ValueError(f"nu must be positive, got {self.nu}")
+            raise DataParseError(f"nu must be positive, got {self.nu}")
         # alpha > n + 1 so the implied covariance scaling is defined;
         # scoring with directly supplied hyperparameters only needs n - 1.
         if not self.alpha > n + 1:

@@ -25,7 +25,7 @@ from .errors import (
     EmptyInputError,
     GammaDomainError,
 )
-from .linalg import log_det
+from .linalg import as_sym, log_det, sym_log_det
 from .network import Dag, topological_order
 from .priors import NormalWishartPrior
 
@@ -172,11 +172,13 @@ class Scorer:
     A subset marginal depends on the data and the prior only through the
     prior precision hyperparameter ``T0``, the posterior ``T_N`` and
     constants fixed by the subset size, so all of them are computed once
-    here. The marginal over an index set is then read from the
+    here, and ``T0`` and ``T_N`` are checked for symmetry and symmetrized
+    once. The marginal over an index set is then read from the
     log-determinants of the matching principal submatrices of ``T0`` and
     ``T_N``; this equals scoring the restricted prior against the projected
-    data. Local scores are memoized by ``(child, parents)`` and the memo
-    counts its ``hits`` and ``misses``.
+    data. Subset marginals are memoized by the subset's bitmask, and local
+    scores by ``(child, parents)``; the local memo counts its ``hits`` and
+    ``misses``.
     """
 
     def __init__(self, d: Dataset, prior: NormalWishartPrior):
@@ -187,28 +189,33 @@ class Scorer:
         s = stats(d)
         m = s.count
         self.variables = d.variables
-        self._t0 = prior.t0
-        self._tn = _updated_t(prior, s)
+        self._t0 = as_sym(prior.t0)
+        self._tn = as_sym(_updated_t(prior, s))
         self._w0 = 0.5 * prior.alpha
         self._wn = 0.5 * (prior.alpha + m)
         self._const = [0.0] + [
             _size_constant(size, m, prior.nu, prior.alpha)
             for size in range(1, d.width + 1)
         ]
+        self._marginals: dict[int, float] = {0: 0.0}  # the empty-set marginal is 1
         self._memo: dict[tuple[int, frozenset[int]], float] = {}
         self.hits = 0
         self.misses = 0
 
-    def _marginal(self, ix: list[int]) -> float:
-        """Log marginal of the data over the ascending index list ``ix``."""
-        if not ix:
-            return 0.0  # the empty-set marginal is 1
-        sub = np.ix_(ix, ix)
-        return (
-            self._const[len(ix)]
-            + self._w0 * log_det(self._t0[sub])
-            - self._wn * log_det(self._tn[sub])
-        )
+    def _marginal(self, mask: int) -> float:
+        """Log marginal of the data over the variables whose bits are set in
+        ``mask``."""
+        value = self._marginals.get(mask)
+        if value is None:
+            ix = [i for i in range(mask.bit_length()) if mask >> i & 1]
+            # take() on both axes: the principal submatrices, as np.ix_
+            # would give them, at a fraction of its cost.
+            value = self._marginals[mask] = (
+                self._const[len(ix)]
+                + self._w0 * sym_log_det(self._t0.take(ix, 0).take(ix, 1))
+                - self._wn * sym_log_det(self._tn.take(ix, 0).take(ix, 1))
+            )
+        return value
 
     def local(self, child: int, parents: frozenset[int]) -> float:
         """The contribution of variable ``child`` with parent set ``parents``
@@ -222,8 +229,10 @@ class Scorer:
         if child in parents:
             raise ValueError(f"{self.variables[child]!r} cannot be its own parent")
         self.misses += 1
-        parent_ix = sorted(parents)
-        value = self._marginal(sorted(parent_ix + [child])) - self._marginal(parent_ix)
+        mask = 0
+        for p in parents:
+            mask |= 1 << p
+        value = self._marginal(mask | 1 << child) - self._marginal(mask)
         self._memo[key] = value
         return value
 

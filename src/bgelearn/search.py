@@ -4,8 +4,14 @@ Two modes: exhaustive enumeration with equivalence-class ranking for up to
 six variables, and deterministic greedy hill-climbing over single-arc moves
 (add, delete, reverse) for anything larger. Each search scores through one
 :class:`~bgelearn.scoring.Scorer` for its dataset and prior, whose memo
-makes a repeated (child, parents) score a dict lookup; a candidate move
-re-scores only the children it touches.
+makes a repeated (child, parents) score a dict lookup.
+
+The climb is incremental, as the score is decomposable: a move changes the
+local scores of only the one or two children it touches. Each iteration
+computes every node's ancestors as a bitmask, which decides each move's
+legality with one bit test, and each child keeps the local scores of its
+parent set with one arc toggled; a move clears only the rows of the
+children it changed.
 """
 
 from __future__ import annotations
@@ -121,22 +127,6 @@ def exhaustive(
     )
 
 
-def _has_path(children, src: int, dst: int, skip: int = -1) -> bool:
-    """Directed path src -> ... -> dst along child links, leaving out the
-    arc src -> skip."""
-    stack = [c for c in children[src] if c != skip]
-    seen = {src}
-    while stack:
-        node = stack.pop()
-        if node == dst:
-            return True
-        if node in seen:
-            continue
-        seen.add(node)
-        stack.extend(children[node])
-    return False
-
-
 def hill_climb(
     d: Dataset,
     prior: NormalWishartPrior,
@@ -149,7 +139,14 @@ def hill_climb(
 
     Each iteration applies the best strictly improving move; ties go to
     deletes before reverses before adds, then to the lexicographically
-    least arc. Restarts rerun the climb from seed-derived random DAGs and
+    least arc. An add u -> v is legal when v is not an ancestor of u, and a
+    reversal of u -> v when u is not an ancestor of another parent of v;
+    ``evaluations`` counts every legal move of every iteration. A move's
+    delta is read from a per-child cache of local scores, which is filled
+    for legal moves only and cleared for the children a move changes, so
+    the climb scores exactly the parent sets a full rescan would. The climb
+    stops after ``max_iters`` moves or when no move improves the score.
+    Restarts rerun the climb from seed-derived random DAGs and
     the best terminal wins. The ranked list covers the distinct terminal
     classes found; the uniform structure priors are constant per DAG and
     cancel in that normalization, so they take no part here. Terminals use
@@ -209,54 +206,77 @@ def _terminal_class(dag: Dag) -> EquivalenceClass:
         return EquivalenceClass((dag,), dag)
 
 
+def _ancestors(parents) -> list[int]:
+    """Each node's ancestors as a bitmask, for a DAG given by parent index
+    sets."""
+    n = len(parents)
+    children = [[] for _ in range(n)]
+    waiting = [len(ps) for ps in parents]
+    for c, ps in enumerate(parents):
+        for p in ps:
+            children[p].append(c)
+    anc = [0] * n
+    ready = [v for v in range(n) if not waiting[v]]
+    for v in ready:  # appended to as nodes become ready: a topological order
+        above = anc[v] | 1 << v
+        for c in children[v]:
+            anc[c] |= above
+            waiting[c] -= 1
+            if not waiting[c]:
+                ready.append(c)
+    return anc
+
+
 def _climb_once(scorer: Scorer, start: Dag, max_iters: int):
     names = start.variables
     n = start.size
     local = scorer.local
     parents = list(start.parents)
     current = [local(v, parents[v]) for v in range(n)]
+    # flips[v][u] is local(v, parents[v] ^ {u}), filled when a move that
+    # needs it is legal and cleared when v's parents change.
+    flips: list[dict[int, float]] = [{} for _ in range(n)]
     trace: list[Move] = []
     evaluations = 0
     for _ in range(max_iters):
-        children = [[] for _ in range(n)]
-        for c, ps in enumerate(parents):
-            for p in ps:
-                children[p].append(c)
-        best = None
-        for u in range(n):
-            for v in range(n):
-                if u == v:
+        anc = _ancestors(parents)
+        moves = []  # (delta, kind, u, v) for every legal move on an arc u -> v
+        for v in range(n):
+            pv, row, now = parents[v], flips[v], current[v]
+            above = 0  # ancestors of v's parents
+            for w in pv:
+                above |= anc[w]
+            for u in range(n):
+                if u == v or (u not in pv and anc[u] >> v & 1):
+                    continue  # adding u -> v would close a cycle
+                flip = row.get(u)
+                if flip is None:
+                    flip = row[u] = local(v, pv ^ {u})
+                if u not in pv:
+                    moves.append((flip - now, "add", u, v))
                     continue
-                # Each move: (kind, delta, post-move parent set per affected child).
-                if u in parents[v]:
-                    dropped = parents[v] - {u}
-                    delta = local(v, dropped) - current[v]
-                    moves = [("delete", delta, ((v, dropped),))]
-                    # Reversal is legal unless another u -> v path remains.
-                    if not _has_path(children, u, v, skip=v):
-                        raised = parents[u] | {v}
-                        moves.append((
-                            "reverse",
-                            delta + local(u, raised) - current[u],
-                            ((v, dropped), (u, raised)),
-                        ))
-                elif v not in parents[u] and not _has_path(children, v, u):
-                    raised = parents[v] | {u}
-                    moves = [("add", local(v, raised) - current[v], ((v, raised),))]
-                else:
-                    continue
-                for kind, delta, changes in moves:
-                    evaluations += 1
-                    if delta > 0.0 and (best is None or delta >= best[0]):
-                        key = (_MOVE_RANK[kind], names[u], names[v])
-                        if best is None or delta > best[0] or key < best[1]:
-                            best = (delta, key, kind, (u, v), changes)
-        if best is None:
+                moves.append((flip - now, "delete", u, v))
+                if not above >> u & 1:  # no other u -> v path: reversible
+                    back = flips[u].get(v)
+                    if back is None:
+                        back = flips[u][v] = local(u, parents[u] | {v})
+                    moves.append((flip - now + back - current[u], "reverse", u, v))
+        evaluations += len(moves)
+        improving = [m for m in moves if m[0] > 0.0]
+        if not improving:
             break
-        delta, _, kind, (u, v), changes = best
+        top = max(m[0] for m in improving)
+        delta, kind, u, v = min(
+            (m for m in improving if m[0] == top),
+            key=lambda m: (_MOVE_RANK[m[1]], names[m[2]], names[m[3]]),
+        )
+        changes = [(v, parents[v] ^ {u})]
+        if kind == "reverse":
+            changes.append((u, parents[u] | {v}))
         for child, ps in changes:
             parents[child] = ps
             current[child] = local(child, ps)
+            flips[child] = {}
         trace.append(Move(kind, (names[u], names[v]), delta))
     return Dag(names, tuple(parents)), trace, evaluations
 

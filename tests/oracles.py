@@ -1,8 +1,9 @@
 """Test-only oracles that the package itself never calls.
 
 A constructive Wishart sampler and the Monte-Carlo estimate of the log
-marginal likelihood built on it (acceptance criterion 8). They use scipy,
-which is a test dependency only.
+marginal likelihood built on it (acceptance criterion 8), which use scipy, a
+test dependency only; and the full-rescan greedy climb that the incremental
+one in :mod:`bgelearn.search` must reproduce move for move.
 """
 
 from __future__ import annotations
@@ -16,8 +17,10 @@ from scipy.special import logsumexp
 from bgelearn.data import Dataset
 from bgelearn.errors import BgeLearnError, DimensionMismatchError
 from bgelearn.linalg import spd_factor
+from bgelearn.network import Dag
 from bgelearn.priors import NormalWishartPrior
-from bgelearn.scoring import LOG_2PI
+from bgelearn.scoring import LOG_2PI, Scorer
+from bgelearn.search import _MOVE_RANK, Move
 
 
 class NonIntegerAlphaError(BgeLearnError):
@@ -98,3 +101,75 @@ def mc_marginal_oracle(
         weights.std(ddof=1) / weights.mean() / math.sqrt(samples)
     )
     return log_mean, rel_se
+
+
+def _has_path(children, src: int, dst: int, skip: int = -1) -> bool:
+    """Directed path src -> ... -> dst along child links, leaving out the
+    arc src -> skip."""
+    stack = [c for c in children[src] if c != skip]
+    seen = {src}
+    while stack:
+        node = stack.pop()
+        if node == dst:
+            return True
+        if node in seen:
+            continue
+        seen.add(node)
+        stack.extend(children[node])
+    return False
+
+
+def rescan_climb(scorer: Scorer, start: Dag, max_iters: int):
+    """One greedy climb that rescans every ordered pair on every iteration:
+    a fresh depth-first legality check and fresh local scores per candidate
+    move. Returns ``(terminal, trace, evaluations)`` like
+    ``search._climb_once``."""
+    names = start.variables
+    n = start.size
+    local = scorer.local
+    parents = list(start.parents)
+    current = [local(v, parents[v]) for v in range(n)]
+    trace: list[Move] = []
+    evaluations = 0
+    for _ in range(max_iters):
+        children = [[] for _ in range(n)]
+        for c, ps in enumerate(parents):
+            for p in ps:
+                children[p].append(c)
+        best = None
+        for u in range(n):
+            for v in range(n):
+                if u == v:
+                    continue
+                # Each move: (kind, delta, post-move parent set per affected child).
+                if u in parents[v]:
+                    dropped = parents[v] - {u}
+                    delta = local(v, dropped) - current[v]
+                    moves = [("delete", delta, ((v, dropped),))]
+                    # Reversal is legal unless another u -> v path remains.
+                    if not _has_path(children, u, v, skip=v):
+                        raised = parents[u] | {v}
+                        moves.append((
+                            "reverse",
+                            delta + local(u, raised) - current[u],
+                            ((v, dropped), (u, raised)),
+                        ))
+                elif v not in parents[u] and not _has_path(children, v, u):
+                    raised = parents[v] | {u}
+                    moves = [("add", local(v, raised) - current[v], ((v, raised),))]
+                else:
+                    continue
+                for kind, delta, changes in moves:
+                    evaluations += 1
+                    if delta > 0.0 and (best is None or delta >= best[0]):
+                        key = (_MOVE_RANK[kind], names[u], names[v])
+                        if best is None or delta > best[0] or key < best[1]:
+                            best = (delta, key, kind, (u, v), changes)
+        if best is None:
+            break
+        delta, _, kind, (u, v), changes = best
+        for child, ps in changes:
+            parents[child] = ps
+            current[child] = local(child, ps)
+        trace.append(Move(kind, (names[u], names[v]), delta))
+    return Dag(names, tuple(parents)), trace, evaluations

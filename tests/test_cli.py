@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -6,10 +7,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bgelearn
 from bgelearn.cli import main
+
+from test_search import random_problem
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:e[-+]?\d+)?")
@@ -388,8 +392,33 @@ def with_parents(tmp_path, source: Path, variable: str, parents) -> Path:
     return out
 
 
+def with_field(tmp_path, source: Path, key: str, value) -> Path:
+    """A copy of the JSON document ``source`` with top-level ``key`` set to
+    ``value``."""
+    doc = json.loads(source.read_text())
+    doc[key] = value
+    out = tmp_path / source.name
+    out.write_text(json.dumps(doc))
+    return out
+
+
 # Command lines with one malformed value each, built from the demo inputs.
 MALFORMED = {
+    "learn --seed -1": lambda s, t: [
+        "learn", s / "cases.csv", s / "prior.json", "--mode", "greedy", "--seed", "-1"
+    ],
+    "sample --seed -1": lambda s, t: ["sample", s / "generator.json", "--seed", "-1"],
+    "elicit nu 0": lambda s, t: ["elicit", with_field(t, s / "prior.json", "nu", 0)],
+    "score nu 0": lambda s, t: [
+        "score", s / "cases.csv", with_field(t, s / "prior.json", "nu", 0), s / "chain.json"
+    ],
+    "learn nu 0": lambda s, t: [
+        "learn", s / "cases.csv", with_field(t, s / "prior.json", "nu", 0)
+    ],
+    "predict nu 0": lambda s, t: [
+        "predict", s / "cases.csv", with_field(t, s / "prior.json", "nu", 0),
+        "0.5", "-0.4", "-0.8",
+    ],
     "learn --restarts -1": lambda s, t: [
         "learn", s / "cases.csv", s / "prior.json", "--mode", "greedy", "--restarts", "-1"
     ],
@@ -441,3 +470,65 @@ class TestDeterminism:
         _, first, _ = run_cli(capsys, *argv)
         _, second, _ = run_cli(capsys, *argv)
         assert first == second
+
+
+def write_greedy_problem(folder: Path, n: int, seed: int, count: int = 1000) -> None:
+    """The cases of ``random_problem(n, seed, count)`` as ``data.csv``, and
+    the direct prior ``mu0 = 0, t0 = (n + 2) I, nu = 1, alpha = n + 2`` as
+    ``prior.json``."""
+    d, _ = random_problem(n, seed, count)
+    names = list(d.variables)
+    with open(folder / "data.csv", "w", encoding="utf-8") as fh:
+        fh.write(",".join(names) + "\n")
+        np.savetxt(fh, d.cases, fmt="%.17g", delimiter=",")
+    prior = {
+        "variables": names,
+        "mu0": [0.0] * n,
+        "t0": (float(n + 2) * np.eye(n)).tolist(),
+        "nu": 1.0,
+        "alpha": float(n + 2),
+    }
+    (folder / "prior.json").write_text(json.dumps(prior), encoding="utf-8")
+
+
+class TestPinnedGreedyReports:
+    # sha256 of the whole output, recorded with the full-rescan climb before
+    # the incremental one replaced it (numpy 2.4 with OpenBLAS on x86-64; a
+    # LAPACK build that rounds differently changes --json's full-precision
+    # floats). The n = 30 climbs converge in 75 moves; the n = 60 ones stop at
+    # the default 100.
+    @pytest.mark.parametrize(
+        "n, seed, flags, digest",
+        [
+            pytest.param(
+                30, 3, ("--json",),
+                "a47190b06056a55ca106f9d0b83d6333851cba01981ff2c5860dbf934f260a6e",
+                id="n30-json",
+            ),
+            pytest.param(
+                30, 3, ("--restarts", "2", "--trace"),
+                "51c3a5e6610ae3ea811adddbd25808e03ac43337a7ee7067a9446575894a5bc0",
+                id="n30-restarts-trace",
+            ),
+            pytest.param(
+                60, 6, ("--json",),
+                "8e43a7ad7e5276d57e95cd732718f32f858d78e86596f279649d92feffdc02a4",
+                id="n60-json",
+            ),
+            pytest.param(
+                60, 6, ("--restarts", "2", "--trace"),
+                "ba4ef9d5feea40061efd88783d0ee38bb9a7f36b152dc0e5243afd275f5acf37",
+                id="n60-restarts-trace",
+            ),
+        ],
+    )
+    def test_greedy_report_is_pinned(
+        self, capsys, monkeypatch, tmp_path, n, seed, flags, digest
+    ):
+        write_greedy_problem(tmp_path, n, seed)
+        monkeypatch.chdir(tmp_path)  # the reports record relative input paths
+        code, out, _ = run_cli(
+            capsys, "learn", "data.csv", "prior.json", "--mode", "greedy", *flags
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

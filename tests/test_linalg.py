@@ -5,7 +5,15 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 
 from bgelearn.errors import IndexOutOfRangeError, NotPositiveDefiniteError
-from bgelearn.linalg import invert_spd, log_det, spd_factor, submatrix
+from bgelearn.linalg import (
+    as_sym,
+    invert_spd,
+    log_det,
+    spd_factor,
+    submatrix,
+    sym_factor,
+    sym_log_det,
+)
 
 # Posterior precision hyperparameter of the bundled three-variable demo,
 # as printed to one decimal in the classical worked example.
@@ -57,6 +65,29 @@ class TestSpdFactor:
             lower = spd_factor(a)
             np.testing.assert_allclose(lower @ lower.T, a, rtol=1e-10, atol=1e-12)
             assert np.all(lower.diagonal() > 0)
+
+
+class TestSymmetrizeOnce:
+    def test_principal_submatrices_factor_as_spd_factor_does(self):
+        # as_sym once on the whole matrix, then sym_factor on a principal
+        # submatrix, is bit for bit spd_factor on that submatrix.
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            n = int(rng.integers(2, 9))
+            a = random_spd(rng, n)
+            a[0, 1] += 1e-12  # an asymmetry for as_sym to average away
+            sym = as_sym(a)
+            for _ in range(5):
+                keep = sorted(rng.choice(n, int(rng.integers(1, n + 1)), replace=False))
+                sub = np.ix_(keep, keep)
+                np.testing.assert_array_equal(sym_factor(sym[sub]), spd_factor(a[sub]))
+                assert sym_log_det(sym[sub]) == log_det(a[sub])
+
+    def test_sym_factor_keeps_the_pivot_test(self):
+        with pytest.raises(NotPositiveDefiniteError):
+            sym_factor(np.diag([1.0, 1e-13]))
+        with pytest.raises(NotPositiveDefiniteError):
+            sym_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
 class TestLogDet:

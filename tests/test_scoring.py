@@ -8,10 +8,12 @@ from scipy.integrate import dblquad
 from scipy.special import gammaln
 
 from bgelearn.data import Dataset, project, stats
+import bgelearn.scoring
 from bgelearn.errors import (
     DimensionMismatchError,
     EmptyInputError,
     GammaDomainError,
+    NotPositiveDefiniteError,
 )
 from bgelearn.network import (
     Dag,
@@ -384,6 +386,47 @@ class TestScorer:
     def test_dimension_mismatch(self, demo_prior):
         with pytest.raises(DimensionMismatchError):
             Scorer(single_case(1.0), demo_prior)
+
+    def test_each_subset_marginal_is_computed_once(
+        self, monkeypatch, demo_prior, demo_dataset
+    ):
+        calls = []
+        real = bgelearn.scoring.sym_log_det
+
+        def counted(a):
+            calls.append(a.shape[0])
+            return real(a)
+
+        monkeypatch.setattr(bgelearn.scoring, "sym_log_det", counted)
+        scorer = Scorer(demo_dataset, demo_prior)
+        first = scorer.local(2, frozenset({0}))  # subsets {0, 2} and {0}
+        assert sorted(calls) == [1, 1, 2, 2]  # T0 and T_N blocks of each
+        second = scorer.local(0, frozenset({2}))  # {0, 2} again, and {2}
+        assert sorted(calls) == [1, 1, 1, 1, 2, 2]
+        assert scorer.misses == 2
+        assert first - second == pytest.approx(
+            scratch_local(demo_prior, demo_dataset, 2, [0])
+            - scratch_local(demo_prior, demo_dataset, 0, [2]),
+            abs=1e-10,
+        )
+
+    def test_pivot_test_runs_on_each_subset(self):
+        # Two columns equal up to 1e-7 under a prior with T0 = 1e-14 I: T_N
+        # passes the symmetry check and each column alone factors, but their
+        # 2 x 2 block has a pivot far below 1e-12 times its largest diagonal
+        # entry.
+        rng = np.random.default_rng(5)
+        z = rng.standard_normal(50)
+        cases = np.column_stack(
+            [z, z + 1e-7 * rng.standard_normal(50), rng.standard_normal(50)]
+        )
+        d = Dataset(("a", "b", "c"), cases)
+        prior = NormalWishartPrior(np.zeros(3), 1e-14 * np.eye(3), 1.0, 5.0)
+        scorer = Scorer(d, prior)
+        scorer.local(0, frozenset({2}))
+        scorer.local(1, frozenset())
+        with pytest.raises(NotPositiveDefiniteError):
+            scorer.local(1, frozenset({0}))
 
 
 class TestScoreStructure:

@@ -14,8 +14,9 @@ from bgelearn.network import (
 )
 from bgelearn.priors import NormalWishartPrior, StructurePrior
 from bgelearn.scoring import Scorer
-from bgelearn.search import exhaustive, hill_climb
+from bgelearn.search import _climb_once, _random_dag, exhaustive, hill_climb
 
+from oracles import rescan_climb
 from test_network import SHUFFLED_NAMES, all_dags_oracle
 from test_scoring import scratch_local
 
@@ -31,6 +32,20 @@ def two_var_dependent_dataset(seed=17, count=200, coeff=1.0):
 def flat_prior(n, names=None, nu=6.0, alpha=None):
     alpha = alpha if alpha is not None else n + 3
     return NormalWishartPrior(np.zeros(n), np.eye(n), nu, alpha)
+
+
+def random_problem(n, seed, count=300):
+    """Seeded linear-Gaussian data on ``n`` variables (a random DAG with up to
+    three parents per node) and a flat prior."""
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(n)
+    x = np.empty((count, n))
+    for k, node in enumerate(order):
+        chosen = rng.choice(order[:k], min(k, int(rng.integers(0, 4))), replace=False)
+        x[:, node] = x[:, chosen] @ rng.uniform(0.5, 1.5, chosen.size)
+        x[:, node] += rng.standard_normal(count)
+        x[:, node] /= x[:, node].std()
+    return Dataset(tuple(f"x{i + 1}" for i in range(n)), x), flat_prior(n)
 
 
 def apply_move(dag: Dag, move) -> Dag:
@@ -214,3 +229,43 @@ class TestHillClimb:
     def test_max_iters_caps_moves(self, demo_dataset, demo_prior):
         report = hill_climb(demo_dataset, demo_prior, max_iters=1)
         assert len(report.trace) <= 1
+
+
+class TestIncrementalClimbAgainstRescan:
+    """The incremental climb against the full rescan in ``tests/oracles.py``:
+    the same trace (deltas compared with ``==``), terminal and evaluation
+    count, and the same local scores computed."""
+
+    @staticmethod
+    def assert_same_climb(d, prior, start, max_iters):
+        fast, slow = Scorer(d, prior), Scorer(d, prior)
+        terminal, trace, evaluations = _climb_once(fast, start, max_iters)
+        want_terminal, want_trace, want_evaluations = rescan_climb(slow, start, max_iters)
+        assert trace == want_trace
+        assert terminal == want_terminal
+        assert evaluations == want_evaluations
+        assert fast.misses == slow.misses
+        return trace
+
+    @pytest.mark.parametrize("n, seed", [(5, 1), (12, 2), (30, 3)])
+    def test_same_climb_from_empty_and_random_starts(self, n, seed):
+        d, prior = random_problem(n, seed)
+        rng = np.random.default_rng(seed)
+        starts = [Dag.from_edges(d.variables)]
+        starts += [_random_dag(d.variables, rng) for _ in range(2)]
+        for start in starts:
+            trace = self.assert_same_climb(d, prior, start, max_iters=100)
+            assert trace
+
+    def test_reversal_blocked_only_by_a_longer_path(self):
+        # a -> b -> c -> d and a -> d: reversing a -> d would close the
+        # cycle a -> b -> c -> d -> a, so the first iteration evaluates four
+        # deletes, three reversals and the adds a -> c and b -> d.
+        names = ("a", "b", "c", "d")
+        start = Dag.from_edges(names, [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")])
+        d = Dataset(names, random_problem(4, 7)[0].cases)
+        prior = flat_prior(4)
+        _, _, evaluations = _climb_once(Scorer(d, prior), start, 1)
+        assert evaluations == 9
+        self.assert_same_climb(d, prior, start, max_iters=1)
+        self.assert_same_climb(d, prior, start, max_iters=100)
